@@ -1,7 +1,8 @@
 """Exact certificates over Lipschitz-free spaces of finite metric spaces.
 
-Everything is computed in `fractions.Fraction`; certificates replay their
-defining inequalities before they are returned.
+Values cross the API and JSON boundary as `fractions.Fraction`; the hot
+kernels run on integers over each space's compiled scale.  Certificates
+replay their defining inequalities before they are returned.
 """
 
 from .errors import InvalidInput, SoundnessError
@@ -10,8 +11,9 @@ from .metric import (FiniteMetricSpace, ValidationReport, builtin_space,
                      reflect, reflect_set, space_from_json, space_to_json,
                      validate_metric)
 from .lipschitz import (LipschitzFunction, PartialFunction, floor_round,
-                        function_from_json, function_to_json, lip_norm,
-                        mcshane_inf_extension, mcshane_sup_extension, slope)
+                        function_from_json, function_to_json, in_unit_ball,
+                        lip_norm, mcshane_inf_extension, mcshane_sup_extension,
+                        slope)
 from .monotone import (CmCertificate, CmViolation, brute_force_cm_oracle,
                        check_augmented, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
@@ -31,7 +33,7 @@ __all__ = [
     "build_example52", "build_line", "make_pair_set", "project", "reflect",
     "reflect_set", "space_from_json", "space_to_json", "validate_metric",
     "LipschitzFunction", "PartialFunction", "floor_round",
-    "function_from_json", "function_to_json", "lip_norm",
+    "function_from_json", "function_to_json", "in_unit_ball", "lip_norm",
     "mcshane_inf_extension", "mcshane_sup_extension", "slope",
     "CmCertificate", "CmViolation", "brute_force_cm_oracle",
     "check_augmented", "check_gamma_cm", "prune_to_cm", "synthesize_witness",

@@ -20,7 +20,7 @@ from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
                         mcshane_sup_extension, slope)
-from .metric import (FiniteMetricSpace, builtin_space, make_pair_set,
+from .metric import (FiniteMetricSpace, builtin_space, parse_rational,
                      space_from_json, validate_metric)
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
@@ -52,7 +52,7 @@ def _read_json(path: str) -> dict:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_space(args) -> FiniteMetricSpace:
+def _read_space(args) -> FiniteMetricSpace:
     builtin = getattr(args, "builtin", None)
     metric = getattr(args, "metric", None)
     if builtin and metric:
@@ -64,21 +64,33 @@ def _load_space(args) -> FiniteMetricSpace:
     raise InvalidInput("a metric is required (file argument or --builtin)")
 
 
+def _load_space(args) -> FiniteMetricSpace:
+    """The space of every command but `validate`: distinct points must be
+    at positive distance, or quotients and extensions divide by zero."""
+    return _read_space(args).require_positive()
+
+
 def _load_pairs(space, path):
     obj = _read_json(path)
     try:
         raw = obj["pairs"]
     except (KeyError, TypeError):
         raise InvalidInput(f"{path} is missing a 'pairs' list") from None
-    return make_pair_set(space, [tuple(p) for p in raw])
+    return reports.pairs_from_json(space, raw)
 
 
 def _load_measure(space, path):
     return functionals.measure_from_json(space, _read_json(path))
 
 
-def _gamma(args) -> Fraction:
-    return Fraction(args.gamma)
+def _rational(args, flag: str) -> Fraction:
+    """The value of a rational flag such as ``--gamma 1/2``."""
+    value = getattr(args, flag)
+    try:
+        return parse_rational(value)
+    except InvalidInput:
+        raise InvalidInput(f"--{flag} needs a rational like 1/2, "
+                           f"got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +161,7 @@ def render_proof(payload: dict) -> str:
 # Subcommands
 
 def cmd_validate(args, started) -> int:
-    space = _load_space(args)
+    space = _read_space(args)
     report = validate_metric(space)
     payload = reports.validation_payload(space, report)
     code = EXIT_OK if report.ok else EXIT_REFUTED
@@ -160,7 +172,7 @@ def cmd_validate(args, started) -> int:
 def cmd_check_cm(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
-    result = check_gamma_cm(space, pairs, _gamma(args))
+    result = check_gamma_cm(space, pairs, _rational(args, "gamma"))
     payload = reports.cm_result_payload(space, result)
     if isinstance(result, CmCertificate):
         return emit(args, "certificate", payload, EXIT_OK, started,
@@ -173,7 +185,7 @@ def cmd_check_cm(args, started) -> int:
 def cmd_witness(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
-    gamma = _gamma(args)
+    gamma = _rational(args, "gamma")
     result = check_gamma_cm(space, pairs, gamma)
     if not isinstance(result, CmCertificate):
         payload = reports.cm_result_payload(space, result)
@@ -219,7 +231,7 @@ def cmd_positivize(args, started) -> int:
 def cmd_slice_diam(args, started) -> int:
     space = _load_space(args)
     mu = _load_measure(space, args.measure)
-    alpha = Fraction(args.alpha)
+    alpha = _rational(args, "alpha")
     if args.normalize:
         norm = functionals.dual_norm(mu).norm
         if norm == 0:
@@ -235,9 +247,9 @@ def cmd_lip_ltp(args, started) -> int:
     space = _load_space(args)
     subset = [s for s in args.subset.split(",") if s]
     f = function_from_json(space, _read_json(args.function))
-    result = d2p.lip_ltp_witness(space, subset, Fraction(args.eps), f)
-    payload = reports.lip_ltp_payload(space, subset, Fraction(args.eps), f,
-                                      result)
+    eps = _rational(args, "eps")
+    result = d2p.lip_ltp_witness(space, subset, eps, f)
+    payload = reports.lip_ltp_payload(space, subset, eps, f, result)
     if result.found:
         return emit(args, "witness", payload, EXIT_OK, started,
                     [f"compatible pair {result.pair}"])
@@ -249,7 +261,7 @@ def cmd_lip_ltp(args, started) -> int:
 def cmd_two_lip_ltp(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
-    result = d2p.two_lip_ltp_witness(space, pairs, Fraction(args.eps))
+    result = d2p.two_lip_ltp_witness(space, pairs, _rational(args, "eps"))
     payload = reports.two_lip_ltp_payload(space, pairs, result)
     if result.found:
         return emit(args, "witness", payload, EXIT_OK, started,
@@ -261,7 +273,7 @@ def cmd_two_lip_ltp(args, started) -> int:
 def cmd_ld2p_cert(args, started) -> int:
     space = _load_space(args)
     mu = _load_measure(space, args.measure)
-    gamma = _gamma(args)
+    gamma = _rational(args, "gamma")
     outcome = d2p.ld2p_certificate(mu, gamma)
     if outcome.certificate is not None:
         payload = reports.ld2p_payload(mu, outcome.certificate)
@@ -277,7 +289,7 @@ def cmd_ld2p_cert(args, started) -> int:
 def cmd_sd2p_cert(args, started) -> int:
     space = _load_space(args)
     mu_list = [_load_measure(space, path) for path in args.measures]
-    gamma = _gamma(args)
+    gamma = _rational(args, "gamma")
     outcome = d2p.sd2p_certificate(mu_list, gamma)
     if outcome.certificate is not None:
         payload = reports.sd2p_payload(mu_list, outcome.certificate)
@@ -298,7 +310,7 @@ def cmd_prune_cm(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
     mu = _load_measure(space, args.measure)
-    gamma = _gamma(args)
+    gamma = _rational(args, "gamma")
     kept = prune_to_cm(space, pairs, mu, gamma, args.bound)
     payload = reports.prune_payload(space, pairs, mu, gamma, args.bound, kept)
     return emit(args, "ok", payload, EXIT_OK, started,
@@ -363,7 +375,7 @@ def _battery_run(task):
 
 def cmd_example52(args, started) -> int:
     space = builtin_space(f"example52:{args.levels}")
-    gamma = Fraction(args.gamma)
+    gamma = _rational(args, "gamma")
     payload: dict = {"kind": "example52", "levels": args.levels,
                      "space": reports.space_to_json(space)}
     lines: list[str] = []

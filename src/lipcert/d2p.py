@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInput, SoundnessError
 from .functionals import PairMeasure, dual_norm, is_optimal
-from .lipschitz import LipschitzFunction, lip_norm, slope
+from .lipschitz import LipschitzFunction, in_unit_ball, slope
 from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set, project
 from .monotone import (CmCertificate, CmViolation, check_augmented, check_gamma,
                        check_gamma_cm, synthesize_witness)
@@ -53,7 +53,7 @@ def lip_ltp_witness(space: FiniteMetricSpace, subset: Sequence[str],
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-    if lip_norm(f) > 1:
+    if not in_unit_ball(f):
         raise InvalidInput("function is outside the unit ball")
     pts = [p for p in space.points if p in set(subset)]
     for p in subset:
@@ -153,7 +153,7 @@ class Ld2pCertificate:
         if mu.mass_of(self.pair_set) < gamma * mu.total_mass():
             raise SoundnessError("selected pair set carries too little mass")
         for h in (self.f, self.g):
-            if lip_norm(h) > 1:
+            if not in_unit_ball(h):
                 raise SoundnessError("certificate function escapes the ball")
         for pair in self.pair_set:
             if slope(self.f, pair) < gamma or slope(self.g, pair) < gamma:

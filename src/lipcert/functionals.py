@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput, SoundnessError
-from .lipschitz import LipschitzFunction, lip_norm, slope
+from .lipschitz import LipschitzFunction, in_unit_ball, slope
 from .lpcore import LinearProgram, solve_lp
 from .metric import (FiniteMetricSpace, Pair, PairSet, make_pair_set,
                      parse_rational, rational_str, reflect, reflect_set)
@@ -161,7 +161,7 @@ def dual_norm(mu: PairMeasure, force_lp: bool = False) -> DualNormResult:
     if res.status != "optimal":
         raise SoundnessError(f"ball LP came back {res.status}")
     f = _point_to_function(space, free, res.point)
-    if apply_measure(mu, f) != res.value or lip_norm(f) > 1:
+    if apply_measure(mu, f) != res.value or not in_unit_ball(f):
         raise SoundnessError("LP maximizer fails replay")
     return DualNormResult(res.value, f, "lp")
 
@@ -263,32 +263,32 @@ class SliceDiameterResult:
 
 
 def _apsp_with_slice(space: FiniteMetricSpace, atom: Pair,
-                     alpha: Fraction) -> list[list[Fraction]]:
+                     alpha: Fraction) -> tuple[int, list[list[int]]]:
     """All-pairs shortest paths of the ball-plus-slice difference system.
 
     Edge q -> p of weight d(p, q) encodes f(p) - f(q) <= d(p, q); the
     slice constraint slope(f, (a, b)) >= 1 - alpha adds edge a -> b of
-    weight -(1 - alpha) d(a, b).  dist[q][p] is then the exact maximum of
+    weight w = -(1 - alpha) d(a, b).  The metric is already closed under
+    shortest paths and a second use of the new edge closes a cycle of
+    weight w + d(b, a) = alpha d(a, b) > 0, so the closed form
+
+        dist[q][p] = min(d(q, p), d(q, a) + w + d(b, p))
+
+    is exact in O(n^2).  Returns (S, dist) on the integer scale
+    S = r * L for alpha = k / r: dist[q][p] / S is the exact maximum of
     f(p) - f(q) over the slice.
     """
-    n = len(space)
-    pts = space.points
-    dist = [[space.d(q, p) for p in pts] for q in pts]
-    for i in range(n):
-        dist[i][i] = Fraction(0)
-    a, b = atom
-    ia, ib = space.index(a), space.index(b)
-    dist[ia][ib] = min(dist[ia][ib], -(1 - alpha) * space.d(a, b))
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            di = dist[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < di[j]:
-                    di[j] = via
-    return dist
+    alpha = Fraction(alpha)
+    k, r = alpha.numerator, alpha.denominator
+    D = space.int_dist
+    ia, ib = space.index(atom[0]), space.index(atom[1])
+    w = (k - r) * D[ia][ib]
+    to_b = [r * x for x in D[ib]]
+    dist = []
+    for row in D:
+        via = row[ia] * r + w
+        dist.append([min(r * x, via + y) for x, y in zip(row, to_b)])
+    return r * space.scale, dist
 
 
 def _slice_max_slope_lp(mu: PairMeasure, alpha: Fraction, u: str, v: str
@@ -332,24 +332,28 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
 
     if len(mu.atoms) == 1 and mu.is_positive() and not force_lp:
         atom = next(iter(mu.atoms))
-        dist = _apsp_with_slice(space, atom, alpha)
+        scale, dist = _apsp_with_slice(space, atom, alpha)
+        # The diameter at (u, v) is (dist[v][u] + dist[u][v]) / (r D_uv)
+        # for the integer scale S = r L; compare the quotients crosswise.
+        r = scale // space.scale
+        D = space.int_dist
         best = None
-        pts = space.points
-        for i, u in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                v = pts[j]
-                cand = (dist[j][i] + dist[i][j]) / space.d(u, v)
-                if best is None or cand > best[0]:
-                    best = (cand, u, v)
+        for i in range(len(space)):
+            for j in range(i + 1, len(space)):
+                num, den = dist[j][i] + dist[i][j], r * D[i][j]
+                if best is None or num * best[1] > best[0] * den:
+                    best = (num, den, i, j)
         assert best is not None
-        diam, u, v = best
-        iu, iv = space.index(u), space.index(v)
-        f_vals = {p: dist[iv][k] - dist[iv][space.index(space.base)]
-                  for k, p in enumerate(pts)}
-        g_vals = {p: dist[iu][k] - dist[iu][space.index(space.base)]
-                  for k, p in enumerate(pts)}
-        f = LipschitzFunction(space, f_vals)
-        g = LipschitzFunction(space, g_vals)
+        num, den, iu, iv = best
+        diam = Fraction(num, den)
+        u, v = space.points[iu], space.points[iv]
+        ibase = space.index(space.base)
+        f = LipschitzFunction(space, {
+            p: Fraction(x - dist[iv][ibase], scale)
+            for p, x in zip(space.points, dist[iv])})
+        g = LipschitzFunction(space, {
+            p: Fraction(x - dist[iu][ibase], scale)
+            for p, x in zip(space.points, dist[iu])})
         _replay_slice_members(mu, alpha, f, g, (u, v), diam)
         return SliceDiameterResult(diam, (u, v), f, g, "shortest-path")
 
@@ -372,7 +376,7 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
 def _replay_slice_members(mu, alpha, f, g, pair, diam) -> None:
     u, v = pair
     for h in (f, g):
-        if lip_norm(h) > 1:
+        if not in_unit_ball(h):
             raise SoundnessError("slice member escapes the unit ball")
         if apply_measure(mu, h) < 1 - alpha:
             raise SoundnessError("slice member misses the closed slice")
@@ -388,12 +392,19 @@ def measure_from_json(space: FiniteMetricSpace, obj: dict) -> PairMeasure:
         raw = obj["atoms"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed measure JSON: {exc}") from None
+    if not isinstance(raw, list):
+        raise InvalidInput(f"measure atoms must be a list, got {raw!r}")
     atoms: dict[Pair, Fraction] = {}
     for entry in raw:
-        pair = (entry["from"], entry["to"])
+        try:
+            pair = space.check_pair((entry["from"], entry["to"]))
+            weight = entry["weight"]
+        except (KeyError, TypeError):
+            raise InvalidInput(f"malformed measure atom {entry!r}: needs "
+                               "'from', 'to' and 'weight'") from None
         if pair in atoms:
             raise InvalidInput(f"duplicate atom at {pair}")
-        atoms[pair] = parse_rational(entry["weight"])
+        atoms[pair] = parse_rational(weight)
     return PairMeasure(space, atoms)
 
 

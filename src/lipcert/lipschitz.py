@@ -1,8 +1,11 @@
 """Real functions on a finite pointed metric space, vanishing at the base.
 
-Holds the norm / difference-quotient computations, the two McShane-type
-extensions of a partial 1-Lipschitz function, and integer rounding of a
-unit-ball function on integer metrics.
+Holds the norm / difference-quotient computations, the unit-ball
+membership test, the two McShane-type extensions of a partial
+1-Lipschitz function, and integer rounding of a unit-ball function on
+integer metrics.  `lip_norm` computes the reported value in `Fraction`;
+`in_unit_ball` decides lip_norm <= 1 on the space's integer matrix
+without a division.
 """
 from __future__ import annotations
 
@@ -12,7 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidInput
-from .metric import FiniteMetricSpace, Pair, PairSet, parse_rational, rational_str
+from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
+                     parse_rational, rational_str)
 
 
 class LipschitzFunction:
@@ -79,6 +83,24 @@ def lip_norm(f: LipschitzFunction) -> Fraction:
     return best
 
 
+def in_unit_ball(f: LipschitzFunction) -> bool:
+    """Whether lip_norm(f) <= 1, decided on integers.
+
+    With D = L * d and F = K * f over K = lcm(L, value denominators),
+    |f(x) - f(y)| <= d(x, y) iff |F_x - F_y| <= (K / L) * D_xy.
+    """
+    space = f.space
+    K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
+    s = K // space.scale
+    n = len(F)
+    for i, row in enumerate(space.int_dist):
+        Fi = F[i]
+        for j in range(i + 1, n):
+            if abs(Fi - F[j]) > s * row[j]:
+                return False
+    return True
+
+
 def slope(f: LipschitzFunction, pair: Pair) -> Fraction:
     """Difference quotient (f(x) - f(y)) / d(x, y) for pair (x, y)."""
     x, y = f.space.check_pair(pair)
@@ -132,7 +154,7 @@ def floor_round(g: LipschitzFunction, pairs: PairSet) -> LipschitzFunction:
     space = g.space
     if space.integer_bound() is None:
         raise InvalidInput("floor rounding needs an integer-valued metric")
-    if lip_norm(g) > 1:
+    if not in_unit_ball(g):
         raise InvalidInput("function is outside the unit ball")
     for pair in pairs:
         if slope(g, pair) != 1:

@@ -1,14 +1,22 @@
 """Finite pointed metric spaces and the ordered-pair space.
 
 Distances are exact rationals (`fractions.Fraction`); nothing in this
-module (or anywhere downstream) uses floating point.  The pair space
-M~ = {(x, y) : x != y} is never materialised: operations either receive
-explicit finite pair sets or iterate over all n(n-1) ordered pairs.
+module (or anywhere downstream) uses floating point.  Each space is also
+compiled once, on first use, to an integer form: the scale L (the lcm of
+the distance denominators) and the matrix D = L * d of ints.  The hot
+kernels (metric validation, Bellman-Ford, certificate replay, unit-ball
+membership, witness synthesis, slice shortest paths) run on D over a
+common scale such as h * L for gamma = g / h, and `Fraction` appears only
+at the API and JSON boundary.  The pair space M~ = {(x, y) : x != y} is
+never materialised: operations either receive explicit finite pair sets
+or iterate over all n(n-1) ordered pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInput
@@ -23,9 +31,11 @@ class FiniteMetricSpace:
     """Immutable finite pointed metric space with rational distances.
 
     The constructor checks shape only (matrix size, label uniqueness,
-    known base); the metric axioms are checked by :func:`validate_metric`.
-    Point order is the declaration order; certificates always reference
-    labels, never indices.
+    known base); the metric axioms are checked by :func:`validate_metric`
+    and positivity alone by :meth:`require_positive`.  Point order is the
+    declaration order; certificates always reference labels, never
+    indices.  ``scale`` and ``int_dist`` are the compiled integer form,
+    built on first use and kept for the life of the object.
     """
 
     def __init__(self, points: Sequence[str], base: str,
@@ -48,10 +58,33 @@ class FiniteMetricSpace:
     def __contains__(self, p: str) -> bool:
         return p in self._index
 
+    @cached_property
+    def scale(self) -> int:
+        """L: the least common denominator of all distances."""
+        return math.lcm(*(x.denominator for row in self._dist for x in row))
+
+    @cached_property
+    def int_dist(self) -> tuple[tuple[int, ...], ...]:
+        """D = L * d, indexed by point number."""
+        scale = self.scale
+        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                     for row in self._dist)
+
+    def require_positive(self) -> FiniteMetricSpace:
+        """Reject a zero or negative distance between distinct points."""
+        for i, row in enumerate(self.int_dist):
+            for j, x in enumerate(row):
+                if x <= 0 and i != j:
+                    p, q = self.points[i], self.points[j]
+                    raise InvalidInput(
+                        f"d({p},{q}) = {self._dist[i][j]} <= 0: distinct "
+                        "points need a positive distance")
+        return self
+
     def index(self, p: str) -> int:
         try:
             return self._index[p]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InvalidInput(f"unknown point label {p!r}") from None
 
     def d(self, p: str, q: str) -> Fraction:
@@ -65,7 +98,11 @@ class FiniteMetricSpace:
                     yield (p, q)
 
     def check_pair(self, pair: Pair) -> Pair:
-        p, q = pair
+        try:
+            p, q = pair
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                f"a pair needs exactly two labels, got {pair!r}") from None
         if p == q:
             raise InvalidInput(f"degenerate pair ({p!r}, {q!r})")
         self.index(p), self.index(q)
@@ -91,26 +128,31 @@ class ValidationReport:
 
 
 def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
-    """Exhaustively check the metric axioms (O(n^3))."""
+    """Exhaustively check the metric axioms (O(n^3)) on the int matrix."""
     pts = space.points
-    for p in pts:
-        if space.d(p, p) != 0:
+    D = space.int_dist
+    n = len(pts)
+    for i, p in enumerate(pts):
+        if D[i][i] != 0:
             return ValidationReport(False, "zero-diagonal", (p,),
                                     f"d({p},{p}) = {space.d(p, p)} != 0")
-    for p in pts:
-        for q in pts:
-            if p == q:
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            if i == j:
                 continue
-            if space.d(p, q) != space.d(q, p):
+            if D[i][j] != D[j][i]:
                 return ValidationReport(False, "symmetry", (p, q),
                                         f"d({p},{q}) != d({q},{p})")
-            if space.d(p, q) <= 0:
+            if D[i][j] <= 0:
                 return ValidationReport(False, "positivity", (p, q),
                                         f"d({p},{q}) = {space.d(p, q)} <= 0")
-    for p in pts:
-        for q in pts:
-            for r in pts:
-                if space.d(p, r) > space.d(p, q) + space.d(q, r):
+    for i in range(n):
+        Di = D[i]
+        for j in range(n):
+            Dij, Dj = Di[j], D[j]
+            for k in range(n):
+                if Di[k] > Dij + Dj[k]:
+                    p, q, r = pts[i], pts[j], pts[k]
                     return ValidationReport(
                         False, "triangle", (p, q, r),
                         f"d({p},{r}) > d({p},{q}) + d({q},{r})")
@@ -138,7 +180,7 @@ def make_pair_set(space: FiniteMetricSpace, pairs: Iterable[Pair]) -> PairSet:
     """Validate endpoints and drop duplicates, keeping first-seen order."""
     seen: dict[Pair, None] = {}
     for pair in pairs:
-        seen.setdefault(space.check_pair(tuple(pair)), None)  # type: ignore[arg-type]
+        seen.setdefault(space.check_pair(pair), None)
     return tuple(seen)
 
 
@@ -208,12 +250,23 @@ def builtin_space(name: str) -> FiniteMetricSpace:
 def parse_rational(s: str | int) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidInput(f"bad rational literal {s!r}") from None
 
 
 def rational_str(x: Fraction) -> str:
     return str(x)
+
+
+def _common_scale(scale: int, values: Sequence[Fraction]
+                  ) -> tuple[int, list[int]]:
+    """(K, X): K = lcm(scale, denominators of values), X[i] = K * values[i].
+
+    Nothing is rounded: K is a multiple of every denominator, so the
+    integers X stand for the values exactly on the scale K.
+    """
+    K = math.lcm(scale, *(v.denominator for v in values))
+    return K, [v.numerator * (K // v.denominator) for v in values]
 
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:

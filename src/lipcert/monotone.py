@@ -11,6 +11,13 @@ beta_ij on edge j -> i has no negative cycle.  The decision procedure is
 Bellman-Ford relaxation from a virtual zero source; the outputs are
 machine-replayable certificates (potentials) or violations (a simple
 cycle with negative beta-sum).
+
+The kernels run on integers: with gamma = g / h and the space compiled to
+D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
+certificate replay and witness synthesis work on the scale h * L (or a
+multiple of it).  Potentials, deficits and witness values become
+`Fraction` only when they are returned.  `beta`, `cycle_sum` and
+`brute_force_cm_oracle` stay in `Fraction` as independent references.
 """
 from __future__ import annotations
 
@@ -21,8 +28,9 @@ from itertools import combinations, permutations
 from typing import Optional, Union
 
 from .errors import InvalidInput, SoundnessError
-from .lipschitz import LipschitzFunction, PartialFunction, mcshane_inf_extension, slope
-from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set, project
+from .lipschitz import LipschitzFunction, in_unit_ball
+from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
+                     make_pair_set, project)
 
 
 def check_gamma(gamma: Fraction) -> Fraction:
@@ -38,6 +46,25 @@ def beta(space: FiniteMetricSpace, pi: Pair, pj: Pair, gamma: Fraction) -> Fract
     return min(space.d(xi, yj) - gamma * space.d(xi, yi), space.d(yi, yj))
 
 
+def _scaled_beta(space: FiniteMetricSpace, pairs: PairSet,
+                 gamma: Fraction) -> tuple[int, list[list[int]]]:
+    """(h * L, W) with W[i][j] = h * L * beta_ij for gamma = g / h.
+
+    W_ij = min(h * D[x_i][y_j] - g * D[x_i][y_i], h * D[y_i][y_j]).
+    """
+    gamma = Fraction(gamma)
+    g, h = gamma.numerator, gamma.denominator
+    D = space.int_dist
+    ends = [(space.index(x), space.index(y)) for x, y in pairs]
+    ys = [y for _, y in ends]
+    w = []
+    for x, y in ends:
+        Dx, Dy = D[x], D[y]
+        t = g * Dx[y]
+        w.append([min(h * Dx[yj] - t, h * Dy[yj]) for yj in ys])
+    return h * space.scale, w
+
+
 @dataclass(frozen=True)
 class CmCertificate:
     """Feasible potentials proving gamma-cyclic monotonicity."""
@@ -46,12 +73,20 @@ class CmCertificate:
     potentials: tuple[Fraction, ...]  # indexed like `pairs`
 
     def replay(self, space: FiniteMetricSpace) -> None:
-        a = self.potentials
-        if len(a) != len(self.pairs):
+        """Check a_i <= a_j + beta_ij for all i, j on integers.
+
+        Over K = lcm(h * L, denominators of a) every potential is an
+        integer, and the inequality reads K a_i <= K a_j + (K / hL) W_ij.
+        """
+        if len(self.potentials) != len(self.pairs):
             raise SoundnessError("potential count does not match pair count")
-        for i, pi in enumerate(self.pairs):
-            for j, pj in enumerate(self.pairs):
-                if a[i] > a[j] + beta(space, pi, pj, self.gamma):
+        hl, w = _scaled_beta(space, self.pairs, self.gamma)
+        K, a = _common_scale(hl, self.potentials)
+        s = K // hl
+        for i, row in enumerate(w):
+            ai = a[i]
+            for j, aj in enumerate(a):
+                if ai > aj + s * row[j]:
                     raise SoundnessError(
                         f"potential inequality fails at ({i}, {j})")
 
@@ -87,31 +122,42 @@ def cycle_sum(space: FiniteMetricSpace, pairs: PairSet,
 
 def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
                    gamma: Fraction) -> CmResult:
-    """Decide gamma-CM; return replayable potentials or a negative cycle."""
+    """Decide gamma-CM; return replayable potentials or a negative cycle.
+
+    Bellman-Ford runs on the integer weights W = h * L * beta; the
+    potentials it returns are dist_i / (h * L).
+    """
     gamma = check_gamma(gamma)
     pairs = make_pair_set(space, pairs)
     m = len(pairs)
     if m == 0:
         return CmCertificate(pairs, gamma, ())
 
-    w = [[beta(space, pairs[i], pairs[j], gamma) for j in range(m)]
-         for i in range(m)]
+    hl, w = _scaled_beta(space, pairs, gamma)
+    # cols[j][i] is the weight of edge j -> i; the zero diagonal makes the
+    # i == j relaxation a no-op.
+    cols = [list(col) for col in zip(*w)]
+    for j in range(m):
+        cols[j][j] = 0
     # Virtual source with zero-weight edges to every node: dist starts at 0.
-    dist = [Fraction(0)] * m
+    dist = [0] * m
     pred: list[Optional[int]] = [None] * m
     bad = None
     for round_ in range(m):
         changed = False
-        for j in range(m):
+        for j, col in enumerate(cols):
             dj = dist[j]
-            for i in range(m):
-                if i != j and dj + w[i][j] < dist[i]:
-                    dist[i] = dj + w[i][j]
+            for i, c in enumerate(col):
+                if dj + c < dist[i]:
+                    dist[i] = dj + c
                     pred[i] = j
                     changed = True
                     bad = i
         if not changed:
-            return _certificate(space, pairs, gamma, dist)
+            cert = CmCertificate(pairs, gamma,
+                                 tuple(Fraction(x, hl) for x in dist))
+            cert.replay(space)
+            return cert
     # A relaxation survived m rounds: walk predecessors into the cycle.
     assert bad is not None
     node = bad
@@ -122,16 +168,11 @@ def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
     while cur != node:
         cycle.append(cur)  # type: ignore[arg-type]
         cur = pred[cur]    # type: ignore[index]
-    violation = CmViolation(pairs, gamma, tuple(cycle),
-                            cycle_sum(space, pairs, tuple(cycle), gamma))
+    k = len(cycle)
+    total = sum(w[cycle[t]][cycle[(t + 1) % k]] for t in range(k))
+    violation = CmViolation(pairs, gamma, tuple(cycle), Fraction(total, hl))
     violation.replay(space)
     return violation
-
-
-def _certificate(space, pairs, gamma, dist) -> CmCertificate:
-    cert = CmCertificate(pairs, gamma, tuple(dist))
-    cert.replay(space)
-    return cert
 
 
 def brute_force_cm_oracle(space: FiniteMetricSpace, pairs: PairSet,
@@ -173,18 +214,27 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
         return LipschitzFunction(space, {p: 0 for p in space.points})
     # Later alpha_i for the same y_i must agree up to beta_ii' bounds; the
     # inf over atoms handles repeats, so keep the min per landing point.
-    atoms: dict[str, Fraction] = {}
-    for (x, y), a in zip(pairs, cert.potentials):
-        atoms[y] = min(atoms.get(y, a), a)
-    vals = {p: min(a + space.d(p, y) for y, a in atoms.items())
-            for p in space.points}
-    shift = vals[space.base]
-    f = LipschitzFunction(space, {p: v - shift for p, v in vals.items()})
+    # Everything runs on the scale K = lcm(L, potential denominators).
+    D = space.int_dist
+    K, a = _common_scale(space.scale, cert.potentials)
+    s = K // space.scale
+    atoms: dict[int, int] = {}
+    for (x, y), ai in zip(pairs, a):
+        iy = space.index(y)
+        atoms[iy] = min(atoms.get(iy, ai), ai)
+    vals = [min(ai + s * row[iy] for iy, ai in atoms.items()) for row in D]
+    shift = vals[space.index(space.base)]
+    vals = [v - shift for v in vals]
+    # slope(f, (x, y)) >= g / h  iff  h * L * (F_x - F_y) >= g * K * D_xy.
+    g, h = gamma.numerator, gamma.denominator
+    hl, gk = h * space.scale, g * K
     for pair in pairs:
-        if slope(f, pair) < gamma:
+        ix, iy = space.index(pair[0]), space.index(pair[1])
+        if hl * (vals[ix] - vals[iy]) < gk * D[ix][iy]:
             raise SoundnessError(f"witness slope below gamma across {pair}")
-    from .lipschitz import lip_norm
-    if lip_norm(f) > 1:
+    f = LipschitzFunction(space, {p: Fraction(v, K)
+                                  for p, v in zip(space.points, vals)})
+    if not in_unit_ball(f):
         raise SoundnessError("witness escapes the unit ball")
     return f
 

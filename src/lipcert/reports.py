@@ -14,11 +14,11 @@ from typing import Any
 from .d2p import (Ld2pCertificate, LipLtpWitness, Sd2pCertificate,
                   TwoLipLtpResult, _replay_pairwise)
 from .errors import InvalidInput, SoundnessError
-from .functionals import (AttestationResult, DualNormResult, OptimalityVerdict,
-                          PairMeasure, SliceDiameterResult, apply_measure,
+from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
+                          SliceDiameterResult, apply_measure,
                           measure_from_json, measure_to_json, positivize)
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
-                        lip_norm, slope)
+                        in_unit_ball, slope)
 from .metric import (FiniteMetricSpace, PairSet, ValidationReport,
                      make_pair_set, rational_str, space_from_json,
                      space_to_json, validate_metric)
@@ -35,7 +35,9 @@ def pairs_to_json(pairs: PairSet) -> list[list[str]]:
 
 
 def pairs_from_json(space: FiniteMetricSpace, raw) -> PairSet:
-    return make_pair_set(space, [tuple(p) for p in raw])
+    if not isinstance(raw, list):
+        raise InvalidInput(f"a pair set must be a list, got {raw!r}")
+    return make_pair_set(space, raw)
 
 
 def canonical_hash(obj: Any) -> str:
@@ -223,21 +225,6 @@ def validation_payload(space, report: ValidationReport) -> dict:
     }
 
 
-def attestation_payload(nu: PairMeasure, result: AttestationResult) -> dict:
-    body = {
-        "kind": "signed-attainment",
-        "space": space_to_json(nu.space),
-        "measure": measure_to_json(nu),
-        "gamma": frac(result.gamma),
-        "success": result.success,
-        "scanned_subsets": result.scanned_subsets,
-    }
-    if result.success:
-        body["pair_set"] = pairs_to_json(result.pair_set)
-        body["witness"] = function_to_json(result.witness)
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Verification (replay only, no search)
 
@@ -257,6 +244,8 @@ def verify_payload(payload: dict) -> str:
         space = space_from_json(payload["space"])
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed payload: {exc}") from None
+    if kind != "validation":
+        space.require_positive()
 
     if kind == "validation":
         report = validate_metric(space)
@@ -283,7 +272,7 @@ def verify_payload(payload: dict) -> str:
     if kind == "cm-witness":
         f = function_from_json(space, payload["function"])
         gamma = Fraction(payload["gamma"])
-        _ok(lip_norm(f) <= 1, "witness escapes the unit ball")
+        _ok(in_unit_ball(f), "witness escapes the unit ball")
         for pair in pairs_from_json(space, payload["pairs"]):
             _ok(slope(f, pair) >= gamma, f"slope below gamma at {pair}")
         return "witness function replayed"
@@ -292,7 +281,7 @@ def verify_payload(payload: dict) -> str:
         mu = measure_from_json(space, payload["measure"])
         f = function_from_json(space, payload["maximizer"])
         norm = Fraction(payload["norm"])
-        _ok(lip_norm(f) <= 1, "maximizer escapes the unit ball")
+        _ok(in_unit_ball(f), "maximizer escapes the unit ball")
         _ok(apply_measure(mu, f) == norm, "maximizer does not attain the norm")
         return f"norm attainment replayed at {norm}"
 
@@ -319,7 +308,7 @@ def verify_payload(payload: dict) -> str:
         g = function_from_json(space, payload["g"])
         u, v = payload["pair"]
         for h in (f, g):
-            _ok(lip_norm(h) <= 1, "slice member escapes the unit ball")
+            _ok(in_unit_ball(h), "slice member escapes the unit ball")
             _ok(apply_measure(mu, h) >= 1 - alpha, "member misses the slice")
         _ok(slope(f, (u, v)) - slope(g, (u, v)) == diam,
             "claimed diameter not attained by (f, g)")
@@ -329,7 +318,7 @@ def verify_payload(payload: dict) -> str:
         f = function_from_json(space, payload["function"])
         eps = Fraction(payload["eps"])
         subset = payload["subset"]
-        _ok(lip_norm(f) <= 1, "function escapes the unit ball")
+        _ok(in_unit_ball(f), "function escapes the unit ball")
         if payload["found"]:
             u, v = payload["pair"]
             for x in subset:
@@ -364,7 +353,7 @@ def verify_payload(payload: dict) -> str:
         f = function_from_json(space, payload["f"])
         g = function_from_json(space, payload["g"])
         for h in (f, g):
-            _ok(lip_norm(h) <= 1, "witness escapes the unit ball")
+            _ok(in_unit_ball(h), "witness escapes the unit ball")
         for pair in pairs:
             _ok(slope(f, pair) >= gamma and slope(g, pair) >= gamma,
                 f"slope below 1 - eps at {pair}")
@@ -412,7 +401,7 @@ def verify_payload(payload: dict) -> str:
             return "exhaustion result (nothing to replay)"
         sub = pairs_from_json(space, payload["pair_set"])
         f = function_from_json(space, payload["witness"])
-        _ok(lip_norm(f) <= 1, "witness escapes the unit ball")
+        _ok(in_unit_ball(f), "witness escapes the unit ball")
         pos = nu.positive_part()
         neg = nu.negative_part()
         from .metric import reflect

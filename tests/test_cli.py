@@ -130,6 +130,81 @@ def test_verify_rejects_tampered_certificate(files, capsys, tmp_path):
     assert main(["verify", str(path)]) == 1
 
 
+THIRDS_JSON = {"points": ["0", "1", "2"], "base": "0",
+               "distances": [["0", "1/3", "2/3"], ["1/3", "0", "1/3"],
+                             ["2/3", "1/3", "0"]]}
+
+
+def test_verify_replays_potentials_on_their_own_denominator(files, capsys,
+                                                            tmp_path):
+    # gamma = 1/2 and L = 3: the potentials live on the scale h * L = 6.
+    m = files("m.json", THIRDS_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    _, report = run_json(capsys, ["check-cm", "--gamma", "1/2",
+                                  "--pairs", p, m])
+    potentials = [Fraction(a) for a in report["payload"]["potentials"]]
+    assert potentials == [0, Fraction(-1, 6)]
+    step = Fraction(1, 7 * 2 * 3)
+
+    def verify_with(values):
+        report["payload"]["potentials"] = [str(a) for a in values]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code = main(["verify", str(path)])
+        capsys.readouterr()
+        return code
+
+    # a_1 <= a_0 + beta_10 is tight, so raising a_1 by 1/42 breaks it.
+    assert verify_with([potentials[0], potentials[1] + step]) == 1
+    # A common shift stays feasible over the denominator 42.
+    assert verify_with([a - step for a in potentials]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cm", "--gamma", "abc", "--pairs", "P", "M"],
+    ["witness", "--gamma", "", "--pairs", "P", "M"],
+    ["slice-diam", "--alpha", "xyz", "U", "--metric", "M"],
+    ["lip-ltp", "--eps", "1/0", "--subset", "0", "--function", "F", "M"],
+    ["two-lip-ltp", "--eps", "1/0", "--pairs", "P", "M"],
+    ["ld2p-cert", "--gamma", "1/x", "U", "--metric", "M"],
+    ["example52", "--levels", "1", "--gamma", "half"],
+])
+def test_non_numeric_flags_exit_1(files, capsys, argv):
+    paths = {"M": files("m.json", LINE3_JSON),
+             "P": files("p.json", DESCENT_PAIRS),
+             "U": files("u.json", {"atoms": [
+                 {"from": "1", "to": "0", "weight": "1"}]}),
+             "F": files("f.json", {"values": {"0": "0", "1": "0", "2": "0"}})}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs a rational" in err
+
+
+def test_malformed_pair_and_measure_json_exit_1(files, capsys):
+    m = files("m.json", LINE3_JSON)
+    triple = files("t.json", {"pairs": [["0", "1", "2"]]})
+    assert main(["check-cm", "--gamma", "1", "--pairs", triple, m]) == 1
+    assert "exactly two labels" in capsys.readouterr().err
+    no_to = files("mu.json", {"atoms": [{"from": "1", "weight": "1"}]})
+    assert main(["norm", no_to, "--metric", m]) == 1
+    assert "malformed measure atom" in capsys.readouterr().err
+
+
+def test_zero_distance_rejected_except_by_validate(files, capsys):
+    zero = files("z.json", {"points": ["0", "1", "2"], "base": "0",
+                            "distances": [["0", "0", "1"], ["0", "0", "1"],
+                                          ["1", "1", "0"]]})
+    pairs = files("p.json", {"pairs": [["1", "2"]]})
+    mu = files("mu.json", {"atoms": [{"from": "2", "to": "1",
+                                      "weight": "1"}]})
+    assert main(["witness", "--gamma", "1", "--pairs", pairs, zero]) == 1
+    assert "positive distance" in capsys.readouterr().err
+    assert main(["norm", mu, "--metric", zero]) == 1
+    assert "positive distance" in capsys.readouterr().err
+    code, report = run_json(capsys, ["validate", zero])
+    assert code == 2 and report["payload"]["failure"] == "positivity"
+
+
 def test_lip_ltp_subcommand(files, capsys):
     m = files("m.json", LINE3_JSON)
     f = files("f.json", {"values": {"0": "0", "1": "0", "2": "0"}})

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lipcert.errors import InvalidInput
-from lipcert.functionals import (PairMeasure, apply_measure,
+from lipcert.functionals import (PairMeasure, _apsp_with_slice, apply_measure,
                                  check_norm_attainment_signed, dual_norm,
                                  is_optimal, measure_from_json,
                                  measure_to_json, positivize, slice_diameter)
@@ -245,6 +245,33 @@ def test_slice_fast_path_agrees_with_lp(rng):
         forced = slice_diameter(mu, alpha, force_lp=True)
         assert fast.method == "shortest-path" and forced.method == "lp"
         assert fast.diameter == forced.diameter
+
+
+def floyd_warshall_with_slice(space, atom, alpha):
+    """Reference for the closed form: O(n^3) relaxation over every point."""
+    pts = space.points
+    n = len(pts)
+    dist = [[space.d(q, p) for p in pts] for q in pts]
+    a, b = atom
+    ia, ib = space.index(a), space.index(b)
+    dist[ia][ib] = min(dist[ia][ib], -(1 - alpha) * space.d(a, b))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), HALF, Fraction(1),
+                                   Fraction(3, 2), Fraction(2)])
+def test_closed_form_apsp_matches_floyd_warshall(rng, alpha):
+    for _ in range(15):
+        space = random_space(rng, 7, denom=5)
+        atom = rng.choice(list(space.pairs()))
+        scale, dist = _apsp_with_slice(space, atom, alpha)
+        got = [[Fraction(x, scale) for x in row] for row in dist]
+        assert got == floyd_warshall_with_slice(space, atom, alpha)
 
 
 def test_slice_diameter_general_measure():

@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipcert.cli import example52_function
 from lipcert.errors import InvalidInput
 from lipcert.lipschitz import (LipschitzFunction, PartialFunction, floor_round,
-                               function_from_json, function_to_json, lip_norm,
-                               mcshane_inf_extension, mcshane_sup_extension,
-                               slope)
+                               function_from_json, function_to_json,
+                               in_unit_ball, lip_norm, mcshane_inf_extension,
+                               mcshane_sup_extension, slope)
 from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 
-from conftest import random_space
+from conftest import closure, random_space
 
 LINE3 = build_line(3)
 IDENT = LipschitzFunction(LINE3, {"0": 0, "1": 1, "2": 2})
@@ -51,6 +52,53 @@ def test_function_requires_base_zero_and_full_domain():
         LipschitzFunction(LINE3, {"0": 1, "1": 0, "2": 0})
     with pytest.raises(InvalidInput):
         LipschitzFunction(LINE3, {"0": 0, "1": 1})
+
+
+# ---------------------------------------------------------------------------
+# Unit-ball membership on the integer matrix
+
+def test_in_unit_ball_examples():
+    assert in_unit_ball(IDENT)
+    double = LipschitzFunction(LINE3, {"0": 0, "1": 2, "2": 4})
+    assert not in_unit_ball(double)
+    thirds = FiniteMetricSpace(["a", "b"], "a", [[0, Fraction(1, 3)],
+                                                 [Fraction(1, 3), 0]])
+    assert in_unit_ball(LipschitzFunction(thirds, {"a": 0, "b": "1/3"}))
+    assert not in_unit_ball(LipschitzFunction(thirds, {"a": 0, "b": "2/5"}))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+@st.composite
+def metric_functions(draw):
+    """A function on a random rational metric: as drawn, rescaled to
+    norm exactly one (slopes of exactly 1), or rescaled and then nudged
+    by 1/97 at one point (mixed denominators either side of the bound)."""
+    n = draw(st.integers(2, 6))
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = draw(
+                st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+    space = FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", closure(w))
+    vals = {p: draw(RATIONALS) for p in space.points}
+    vals[space.base] = Fraction(0)
+    mode = draw(st.sampled_from(["drawn", "norm-one", "nudged"]))
+    norm = lip_norm(LipschitzFunction(space, vals))
+    if mode != "drawn" and norm > 0:
+        vals = {p: v / norm for p, v in vals.items()}
+        if mode == "nudged":
+            p = draw(st.sampled_from(space.points[1:]))
+            vals[p] += draw(st.sampled_from([Fraction(1, 97),
+                                             Fraction(-1, 97)]))
+    return LipschitzFunction(space, vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_functions())
+def test_in_unit_ball_matches_lip_norm(f):
+    assert in_unit_ball(f) == (lip_norm(f) <= 1)
 
 
 # ---------------------------------------------------------------------------

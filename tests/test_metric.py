@@ -34,6 +34,25 @@ def test_positivity_violation_detected():
     assert report.failure == "positivity"
 
 
+def test_compiled_integer_matrix():
+    space = FiniteMetricSpace(["a", "b", "c"], "a",
+                              [[0, "1/2", "5/6"], ["1/2", 0, "1/3"],
+                               ["5/6", "1/3", 0]])
+    assert space.scale == 6
+    assert space.int_dist == ((0, 3, 5), (3, 0, 2), (5, 2, 0))
+    assert space.int_dist is space.int_dist  # compiled once per object
+
+
+def test_validation_messages_keep_rational_values():
+    bad = FiniteMetricSpace(["0", "1"], "0", [[0, "-1/2"], ["-1/2", 0]])
+    report = validate_metric(bad)
+    assert report.failure == "positivity"
+    assert report.message == "d(0,1) = -1/2 <= 0"
+    with pytest.raises(InvalidInput, match="positive distance"):
+        bad.require_positive()
+    assert LINE3.require_positive() is LINE3
+
+
 def test_symmetry_violation_detected():
     bad = FiniteMetricSpace(["0", "1"], "0", [[0, 1], [2, 0]])
     assert validate_metric(bad).failure == "symmetry"
