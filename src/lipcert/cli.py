@@ -8,6 +8,7 @@ certificate body is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -319,6 +320,8 @@ def cmd_prune_cm(args, started) -> int:
 
 def cmd_verify(args, started) -> int:
     report = _read_json(args.report)
+    if not isinstance(report, dict):
+        raise InvalidInput(f"{args.report} does not hold a report object")
     payload = report.get("payload", report)
     summary = reports.verify_payload(payload)
     return emit(args, "verified", {"kind": "verify", "summary": summary,
@@ -440,7 +443,10 @@ def _add_space_opts(p, positional_metric: bool):
     p.add_argument("--builtin", help="builtin space, e.g. example52:2, line:5")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    keeps its state in a fresh namespace per call, never in the parser."""
     ap = argparse.ArgumentParser(
         prog="lipcert",
         description="Certificates for cyclic monotonicity, norm attainment "

@@ -1,12 +1,23 @@
 """Exact rational linear programming.
 
-Maximises a linear objective over {x : Ax <= b} with x free, via a dense
-two-phase tableau simplex with Bland's anti-cycling rule.  All arithmetic
-is in `fractions.Fraction`; returned optima satisfy every constraint
-exactly.  Problem sizes here are small, so exactness beats speed.
+Maximises a linear objective over {x : Ax <= b} with x free, via a
+two-phase tableau simplex with Bland's anti-cycling rule.  Returned optima
+satisfy every constraint exactly.
+
+The tableau is fraction-free: row i holds Python ints over one positive
+denominator of its own, and every right-hand side is first multiplied by
+the lcm of their denominators, which scales each basic solution alike and
+leaves every pivot choice unchanged.  The reduced costs are one more
+tableau row, eliminated against the basis once per phase and then kept
+current by each pivot instead of being recomputed per iteration.  A pivot
+touches only the rows with a nonzero in the pivot column; when the
+normalised pivot row has denominator 1 (always, on the unit-ball
+constraints, whose matrix is totally unimodular) it touches only the
+pivot row's nonzero cells.  `Fraction` appears only at the boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,115 +61,140 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         raise InvalidInput("objective is not set")
     n, m = lp.num_vars, len(lp.rows)
     # Free x becomes u - v with u, v >= 0; slacks close the inequalities.
+    # A row with a negative right-hand side is negated and gets an
+    # artificial column.  Row i stands for rows[i] / dens[i], with its
+    # right-hand side (times `scale`) in the last cell.
+    scale = math.lcm(*(b.denominator for b in lp.rhs))
+    art_rows = [i for i, b in enumerate(lp.rhs) if b < 0]
     ncols = 2 * n + m
-    rows: list[Row] = []
-    rhs: list[Fraction] = []
+    total = ncols + len(art_rows)
+    art_index = {i: ncols + k for k, i in enumerate(art_rows)}
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for i in range(m):
-        row = [Fraction(0)] * ncols
-        for j, c in enumerate(lp.rows[i]):
-            row[j] = c
-            row[n + j] = -c
-        row[2 * n + i] = Fraction(1)
-        b = lp.rhs[i]
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            art_cols.append(i)
+    for i, (coeffs, b) in enumerate(zip(lp.rows, lp.rhs)):
+        den, num = _integer_row(coeffs)
+        b = b.numerator * (scale // b.denominator) * den
+        sign = -1 if b < 0 else 1
+        row = [sign * c for c in num]
+        row += [-c for c in row] + [0] * (total - 2 * n) + [sign * b]
+        row[2 * n + i] = sign * den
+        basis.append(art_index.get(i, 2 * n + i))
+        row[basis[i]] = den
         rows.append(row)
-        rhs.append(b)
-        basis.append(-1)  # filled below
+        dens.append(den)
 
-    # Artificial columns for rows whose slack got negated.
-    for k, i in enumerate(art_cols):
-        for r in range(m):
-            rows[r].append(Fraction(1) if r == i else Fraction(0))
-    total = ncols + len(art_cols)
-    art_index = {i: ncols + k for k, i in enumerate(art_cols)}
-    for i in range(m):
-        basis[i] = art_index.get(i, 2 * n + i)
-
-    if art_cols:
-        phase1 = [Fraction(0)] * total
+    if art_rows:
+        phase1 = [0] * (total + 1)
         for col in art_index.values():
-            phase1[col] = Fraction(-1)  # maximise -(sum of artificials)
-        status = _simplex(rows, rhs, basis, phase1)
+            phase1[col] = -1  # maximise -(sum of artificials)
+        status = _simplex(rows, dens, basis, phase1, total)
         assert status == "optimal"  # phase-1 objective is bounded above by 0
-        if _objective_value(basis, rhs, phase1) != 0:
+        if any(rows[i][total] for i, col in enumerate(basis) if col >= ncols):
             return LpResult("infeasible")
-        _drive_out_artificials(rows, rhs, basis, ncols)
+        _drive_out_artificials(rows, dens, basis, ncols)
 
-    obj = [Fraction(0)] * total
-    for j, c in enumerate(lp.objective):
-        obj[j] = c
-        obj[n + j] = -c
-    forbidden = set(range(ncols, total))
-    status = _simplex(rows, rhs, basis, obj, forbidden)
+    _, num = _integer_row(lp.objective)
+    obj = num + [-c for c in num] + [0] * (total + 1 - 2 * n)
+    status = _simplex(rows, dens, basis, obj, ncols)
     if status == "unbounded":
         return LpResult("unbounded")
-    x = [Fraction(0)] * total
+    x = [Fraction(0)] * (2 * n)
     for i, col in enumerate(basis):
-        x[col] = rhs[i]
+        if col < 2 * n:
+            x[col] = Fraction(rows[i][total], dens[i] * scale)
     point = tuple(x[j] - x[n + j] for j in range(n))
     value = sum((c * p for c, p in zip(lp.objective, point)), Fraction(0))
     return LpResult("optimal", value, point)
 
 
-def _objective_value(basis, rhs, obj) -> Fraction:
-    return sum((obj[col] * rhs[i] for i, col in enumerate(basis)), Fraction(0))
+def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, [L * v for v in values]) for L the lcm of the denominators."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
 
 
-def _simplex(rows, rhs, basis, obj, forbidden=frozenset()) -> str:
-    """In-place primal simplex with Bland's rule; rows are kept feasible."""
-    m = len(rows)
-    total = len(obj)
+def _simplex(rows, dens, basis, obj, ncols) -> str:
+    """In-place primal simplex with Bland's rule over the columns < ncols.
+
+    `obj` is a positive multiple of the objective, with a 0 in the
+    right-hand-side cell.  It is turned into the reduced-cost row
+    c - c_B B^-1 A once, then rides along as the last tableau row so that
+    every pivot updates it; only its signs are read.
+    """
+    m = len(basis)
+    red, red_den = list(obj), 1
+    for i, col in enumerate(basis):
+        if red[col]:
+            red_den = _eliminate(red, red_den, rows[i], col,
+                                 [j for j, a in enumerate(rows[i]) if a])
+    rows.append(red)
+    dens.append(red_den)
     while True:
-        # Reduced costs c_j - c_B . B^-1 A_j; tableau rows already hold B^-1 A.
-        y = {col: obj[col] for col in basis}
-        entering = -1
-        for j in range(total):
-            if j in forbidden or j in y:
-                continue
-            red = obj[j] - sum(obj[basis[i]] * rows[i][j] for i in range(m))
-            if red > 0:
-                entering = j
-                break  # Bland: lowest improving index
+        # Bland: lowest improving index.  Basic columns have red == 0.
+        entering = next((j for j in range(ncols) if red[j] > 0), -1)
         if entering < 0:
-            return "optimal"
+            status = "optimal"
+            break
+        # Ratio test on rhs_i / a_i, compared crosswise: dens[i] cancels.
         leaving = -1
-        best: Optional[Fraction] = None
         for i in range(m):
-            a = rows[i][entering]
+            row = rows[i]
+            a = row[entering]
             if a > 0:
-                ratio = rhs[i] / a
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leaving])):
-                    best = ratio
-                    leaving = i
+                if leaving >= 0:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving, best_b, best_a = i, row[-1], a
         if leaving < 0:
-            return "unbounded"
-        _pivot(rows, rhs, basis, leaving, entering)
+            status = "unbounded"
+            break
+        _pivot(rows, dens, basis, leaving, entering)
+    rows.pop()
+    dens.pop()
+    return status
 
 
-def _pivot(rows, rhs, basis, r, c) -> None:
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
-    rhs[r] /= piv
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            factor = rows[i][c]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-            rhs[i] -= factor * rhs[r]
+def _pivot(rows, dens, basis, r, c) -> None:
+    """Pivot on cell (r, c) in place: row r gets a 1 in column c, and each
+    other row with a nonzero in column c loses the multiple that clears it."""
+    prow = rows[r]
+    if prow[c] < 0:
+        prow[:] = [-a for a in prow]
+    g = math.gcd(*prow)
+    if g != 1:
+        prow[:] = [a // g for a in prow]
+    dens[r] = prow[c]
+    nonzero = [j for j, a in enumerate(prow) if a]
+    for i, row in enumerate(rows):
+        if row[c] and i != r:
+            dens[i] = _eliminate(row, dens[i], prow, c, nonzero)
     basis[r] = c
 
 
-def _drive_out_artificials(rows, rhs, basis, ncols) -> None:
+def _eliminate(row, den, src, c, nonzero) -> int:
+    """row / den -= (row[c] / den) * (src / src[c]) in place; returns the
+    new denominator.  `nonzero` lists the nonzero cells of `src`."""
+    f, p = row[c], src[c]
+    if p == 1:
+        for j in nonzero:
+            row[j] -= f * src[j]
+        return den
+    row[:] = [a * p - f * b for a, b in zip(row, src)]
+    g = math.gcd(den * p, *row)
+    if g != 1:
+        row[:] = [a // g for a in row]
+    return den * p // g
+
+
+def _drive_out_artificials(rows, dens, basis, ncols) -> None:
     for i in range(len(rows)):
         if basis[i] >= ncols:
             for j in range(ncols):
                 if rows[i][j] != 0:
-                    _pivot(rows, rhs, basis, i, j)
+                    _pivot(rows, dens, basis, i, j)
                     break
             # A fully zero structural row is redundant; its artificial stays
             # basic at value zero, which is harmless for phase 2.

@@ -20,8 +20,8 @@ from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
                         in_unit_ball, slope)
 from .metric import (FiniteMetricSpace, PairSet, ValidationReport,
-                     make_pair_set, rational_str, space_from_json,
-                     space_to_json, validate_metric)
+                     make_pair_set, parse_rational, rational_str,
+                     space_from_json, space_to_json, validate_metric)
 from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
                        cycle_sum)
 
@@ -237,13 +237,26 @@ def verify_payload(payload: dict) -> str:
     """Replay the invariants of a report payload; return a summary line.
 
     Raises `SoundnessError` if any replayed inequality fails and
-    `InvalidInput` on malformed payloads.
+    `InvalidInput` on malformed payloads: a missing field, a field of the
+    wrong type, or a rational field that does not parse.
     """
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"a payload must be an object, got {payload!r}")
     try:
-        kind = payload["kind"]
-        space = space_from_json(payload["space"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed payload: {exc}") from None
+        return _replay_payload(payload)
+    except InvalidInput:
+        raise
+    except KeyError as exc:
+        raise InvalidInput(f"malformed {payload.get('kind')!r} payload: "
+                           f"missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InvalidInput(f"malformed {payload.get('kind')!r} payload: "
+                           f"{exc}") from None
+
+
+def _replay_payload(payload: dict) -> str:
+    kind = payload["kind"]
+    space = space_from_json(payload["space"])
     if kind != "validation":
         space.require_positive()
 
@@ -255,23 +268,23 @@ def verify_payload(payload: dict) -> str:
     if kind == "cm-certificate":
         cert = CmCertificate(
             pairs_from_json(space, payload["pairs"]),
-            Fraction(payload["gamma"]),
-            tuple(Fraction(a) for a in payload["potentials"]))
+            parse_rational(payload["gamma"]),
+            tuple(parse_rational(a) for a in payload["potentials"]))
         cert.replay(space)
         return f"potential certificate replayed on {len(cert.pairs)} pairs"
 
     if kind == "cm-violation":
         viol = CmViolation(
             pairs_from_json(space, payload["pairs"]),
-            Fraction(payload["gamma"]),
+            parse_rational(payload["gamma"]),
             tuple(payload["cycle"]),
-            Fraction(payload["deficit"]))
+            parse_rational(payload["deficit"]))
         viol.replay(space)
         return f"negative cycle replayed, deficit {viol.deficit}"
 
     if kind == "cm-witness":
         f = function_from_json(space, payload["function"])
-        gamma = Fraction(payload["gamma"])
+        gamma = parse_rational(payload["gamma"])
         _ok(in_unit_ball(f), "witness escapes the unit ball")
         for pair in pairs_from_json(space, payload["pairs"]):
             _ok(slope(f, pair) >= gamma, f"slope below gamma at {pair}")
@@ -280,7 +293,7 @@ def verify_payload(payload: dict) -> str:
     if kind == "dual-norm":
         mu = measure_from_json(space, payload["measure"])
         f = function_from_json(space, payload["maximizer"])
-        norm = Fraction(payload["norm"])
+        norm = parse_rational(payload["norm"])
         _ok(in_unit_ball(f), "maximizer escapes the unit ball")
         _ok(apply_measure(mu, f) == norm, "maximizer does not attain the norm")
         return f"norm attainment replayed at {norm}"
@@ -302,8 +315,8 @@ def verify_payload(payload: dict) -> str:
 
     if kind == "slice-diameter":
         mu = measure_from_json(space, payload["measure"])
-        alpha = Fraction(payload["alpha"])
-        diam = Fraction(payload["supremal_diameter"])
+        alpha = parse_rational(payload["alpha"])
+        diam = parse_rational(payload["supremal_diameter"])
         f = function_from_json(space, payload["f"])
         g = function_from_json(space, payload["g"])
         u, v = payload["pair"]
@@ -316,7 +329,7 @@ def verify_payload(payload: dict) -> str:
 
     if kind == "lip-ltp":
         f = function_from_json(space, payload["function"])
-        eps = Fraction(payload["eps"])
+        eps = parse_rational(payload["eps"])
         subset = payload["subset"]
         _ok(in_unit_ball(f), "function escapes the unit ball")
         if payload["found"]:
@@ -331,14 +344,15 @@ def verify_payload(payload: dict) -> str:
             u, v = viol["candidate"]
             lhs = (1 - eps) * (abs(f(viol["x"]) - f(viol["y"])) + space.d(u, v))
             rhs = space.d(viol["x"], u) + space.d(viol["y"], v)
-            _ok(lhs == Fraction(viol["lhs"]) and rhs == Fraction(viol["rhs"]),
+            _ok(lhs == parse_rational(viol["lhs"])
+                and rhs == parse_rational(viol["rhs"]),
                 "violation row does not recompute")
             _ok(lhs > rhs, "logged violation is not a violation")
         return f"{len(payload['violations'])} violation rows replayed"
 
     if kind == "two-lip-ltp":
         pairs = pairs_from_json(space, payload["pairs"])
-        eps = Fraction(payload["eps"])
+        eps = parse_rational(payload["eps"])
         gamma = 1 - eps
         if not payload["found"]:
             for entry in payload["failures"]:
@@ -366,7 +380,7 @@ def verify_payload(payload: dict) -> str:
             pairs_from_json(space, payload["pair_set"]),
             function_from_json(space, payload["f"]),
             function_from_json(space, payload["g"]),
-            payload["u"], payload["v"], Fraction(payload["gamma"]))
+            payload["u"], payload["v"], parse_rational(payload["gamma"]))
         cert.replay(mu)
         return f"LD2P certificate replayed at gamma {cert.gamma}"
 
@@ -384,7 +398,7 @@ def verify_payload(payload: dict) -> str:
         pairs = pairs_from_json(space, payload["pairs"])
         kept = pairs_from_json(space, payload["kept"])
         mu = measure_from_json(space, payload["measure"])
-        gamma = Fraction(payload["gamma"])
+        gamma = parse_rational(payload["gamma"])
         n = int(payload["bound"])
         _ok(set(kept) <= set(pairs), "kept set is not a subset")
         verdict = check_gamma_cm(space, kept, Fraction(1))
@@ -393,23 +407,5 @@ def verify_payload(payload: dict) -> str:
         _ok(mu.mass_of(kept) >= mu.mass_of(pairs) - slack,
             "mass bound fails")
         return f"pruned set replayed, kept {len(kept)} of {len(pairs)} pairs"
-
-    if kind == "signed-attainment":
-        nu = measure_from_json(space, payload["measure"])
-        gamma = Fraction(payload["gamma"])
-        if not payload["success"]:
-            return "exhaustion result (nothing to replay)"
-        sub = pairs_from_json(space, payload["pair_set"])
-        f = function_from_json(space, payload["witness"])
-        _ok(in_unit_ball(f), "witness escapes the unit ball")
-        pos = nu.positive_part()
-        neg = nu.negative_part()
-        from .metric import reflect
-        score = sum((pos.get(p, Fraction(0)) for p in sub), Fraction(0)) + \
-            sum((neg.get(reflect(p), Fraction(0)) for p in sub), Fraction(0))
-        _ok(score >= gamma * nu.total_variation(), "mass bound fails")
-        for pair in sub:
-            _ok(slope(f, pair) >= gamma, f"slope below gamma at {pair}")
-        return "signed attainment replayed"
 
     raise InvalidInput(f"unknown payload kind {kind!r}")

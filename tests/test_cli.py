@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lipcert
 from lipcert.cli import main
 from lipcert.metric import build_line, space_to_json
 
@@ -257,3 +261,71 @@ def test_error_exit_code_on_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["validate", str(bad)]) == 1
+
+
+def test_verify_malformed_payload_fields_exit_1(files, capsys, tmp_path):
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    p = files("p.json", DESCENT_PAIRS)
+    _, norm = run_json(capsys, ["norm", mu, "--metric", m])
+    del norm["payload"]["measure"]
+    _, cert = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs", p, m])
+    cert["payload"]["gamma"] = "abc"
+    for report, needle in ((norm, "missing field 'measure'"),
+                           (cert, "bad rational literal 'abc'"),
+                           ([cert], "does not hold a report object")):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(lipcert.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "lipcert.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _comparable(stdout):
+    """A JSON report without its timing, or the text rendering as is."""
+    if stdout.startswith("{"):
+        report = json.loads(stdout)
+        del report["elapsed_seconds"]
+        return report
+    return stdout
+
+
+def test_consecutive_calls_match_fresh_processes(files, capsys, tmp_path):
+    m = files("m.json", LINE3_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    mu = files("mu.json", DESCENT_MEASURE)
+    opposite = files("opp.json", {"atoms": [
+        {"from": "0", "to": "2", "weight": "1/2"},
+        {"from": "2", "to": "0", "weight": "1/2"}]})
+    proof = tmp_path / "proof.txt"
+    runs = [
+        ["--format", "json", "--emit-proof", str(proof),
+         "ld2p-cert", "--gamma", "1/2", mu, "--metric", m],
+        ["norm", mu, "--metric", m],
+        ["--format", "json", "optimal", opposite, "--metric", m],
+        ["witness", "--gamma", "1/2", "--pairs", p, m],
+        ["--format", "json", "check-cm", "--gamma", "1", "--pairs", p, m],
+        ["--format", "text", "check-cm", "--gamma", "abc", "--pairs", p, m],
+        ["--format", "json", "validate", m],
+    ]
+    capsys.readouterr()
+    for i, argv in enumerate(runs):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh_code, fresh_out, fresh_err = _fresh_process(argv)
+        assert code == fresh_code, argv
+        assert _comparable(out) == _comparable(fresh_out), argv
+        assert err == fresh_err, argv
+        if i == 0:
+            # A later call without --emit-proof must not write it again.
+            assert proof.exists()
+            proof.unlink()
+    assert not proof.exists()

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lipcert import lpcore
 from lipcert.errors import InvalidInput
+from lipcert.functionals import PairMeasure, _ball_lp, _measure_objective
 from lipcert.lpcore import LinearProgram, solve_lp
+from lipcert.metric import FiniteMetricSpace, validate_metric
 
 from lp_oracle import oracle_solve
 
@@ -88,3 +92,120 @@ def test_shape_validation():
     lp2.add_constraint([1], 1)
     with pytest.raises(InvalidInput):
         solve_lp(lp2)  # objective not set
+
+
+# ---------------------------------------------------------------------------
+# Pinned vertices.  Criterion 10 and the oracle compare statuses and optimal
+# values only, so a different choice among optimal vertices would pass them.
+# These points and (row, column) pivot sequences were recorded with the
+# earlier dense-tableau implementation of the same Bland rule.
+
+F = Fraction
+SPACE7 = FiniteMetricSpace(
+    [f"p{i}" for i in range(7)], "p0",
+    [[0, 2, 3, 5, 4, 6, 3],
+     [2, 0, 1, F(7, 2), 3, 4, 3],
+     [3, 1, 0, F(5, 2), 2, 3, 4],
+     [5, F(7, 2), F(5, 2), 0, 2, 3, 5],
+     [4, 3, 2, 2, 0, 2, 3],
+     [6, 4, 3, 3, 2, 0, 3],
+     [3, 3, 4, 5, 3, 3, 0]])
+SPACE5 = FiniteMetricSpace(
+    [f"q{i}" for i in range(5)], "q0",
+    [[0, 1, 2, 3, 2], [1, 0, 1, 2, 2], [2, 1, 0, 1, 2], [3, 2, 1, 0, 1],
+     [2, 2, 2, 1, 0]])
+
+
+def _signed_ball_lp():
+    mu = PairMeasure(SPACE7, {("p3", "p0"): 2, ("p5", "p1"): F(-1, 2),
+                              ("p6", "p2"): F(3, 4), ("p4", "p6"): -1})
+    lp, free = _ball_lp(SPACE7)
+    lp.set_objective(_measure_objective(mu, free))
+    return lp
+
+
+def _slice_lp():
+    # Max f(q4) - f(q1) over the ball and mu(f) >= 1/2 for a norm-one mu:
+    # the slice row has a negative bound, so phase 1 needs an artificial.
+    mu = PairMeasure(SPACE5, {("q3", "q0"): F(6, 11), ("q2", "q4"): F(9, 11)})
+    lp, free = _ball_lp(SPACE5)
+    lp.add_constraint([-c for c in _measure_objective(mu, free)], F(-1, 2))
+    obj = [F(0)] * len(free)
+    obj[free.index("q4")], obj[free.index("q1")] = F(1), F(-1)
+    lp.set_objective(obj)
+    return lp
+
+
+def _degenerate_face_lp():
+    # x1 <= x2 <= x3 and x1 + x2 + x3 <= 0 with zero bounds: every optimum
+    # has x1 + x2 + x3 = 0, and three degenerate pivots reach the origin.
+    return _lp(3, [([1, -1, 0], 0), ([0, 1, -1], 0), ([1, 1, 1], 0),
+                   ([-1, 0, 0], 2), ([0, 0, 1], 1)], [1, 1, 1])
+
+
+def _redundant_equality_lp():
+    # x + y = -1 stated three times: phase 1 leaves artificials basic at
+    # zero, and both are driven out before phase 2.
+    return _lp(2, [([1, 1], -1), ([-1, -1], 1), ([2, 2], -2), ([1, -1], 0),
+                   ([-1, 0], 4)], [0, 1])
+
+
+PINNED = [
+    (_signed_ball_lp, F(1211, 480), (F(3, 2), F(1, 2), 3, 1, 0, 3),
+     [(7, 0), (21, 2), (20, 3), (22, 1), (36, 5), (41, 10)]),
+    (_slice_lp, F(14, 13), (F(12, 13), F(25, 13), F(38, 13), 2),
+     [(9, 1), (10, 0), (20, 2), (4, 3), (16, 18), (13, 12)]),
+    (_degenerate_face_lp, 0, (0, 0, 0), [(0, 0), (1, 1), (2, 2)]),
+    (_redundant_equality_lp, 3, (-4, 3), [(1, 2), (0, 4), (2, 5), (4, 1)]),
+]
+
+
+def test_pinned_spaces_are_metrics():
+    assert validate_metric(SPACE7).ok and validate_metric(SPACE5).ok
+
+
+@pytest.mark.parametrize("build, value, point, pivots", PINNED,
+                         ids=["ball7-signed", "slice5-artificial",
+                              "degenerate-face", "redundant-equality"])
+def test_pinned_vertex_and_pivot_sequence(monkeypatch, build, value, point,
+                                          pivots):
+    seen = []
+    pivot = lpcore._pivot
+
+    def recording(rows, dens, basis, r, c):
+        seen.append((r, c))
+        pivot(rows, dens, basis, r, c)
+
+    monkeypatch.setattr(lpcore, "_pivot", recording)
+    res = solve_lp(build())
+    assert res.status == "optimal"
+    assert res.value == value
+    assert res.point == point
+    assert seen == pivots
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with many zero bounds (degenerate vertices), negative
+    bounds (phase 1) and no box, so infeasible and unbounded ones occur."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    coeff = st.integers(-3, 3)
+    bound = st.one_of(st.just(0), st.fractions(-4, 6, max_denominator=3))
+    rows = [[F(draw(coeff)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(draw(bound)) for _ in range(m)]
+    obj = [F(draw(coeff)) for _ in range(n)]
+    return n, rows, rhs, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_solve_lp_matches_oracle(case):
+    n, rows, rhs, obj = case
+    res = solve_lp(_lp(n, list(zip(rows, rhs)), obj))
+    ref = oracle_solve(n, rows, rhs, obj)
+    assert res.status == ref[0]
+    if res.status == "optimal":
+        assert res.value == ref[1]
+        for row, b in zip(rows, rhs):
+            assert sum(c * x for c, x in zip(row, res.point)) <= b
