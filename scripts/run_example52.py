@@ -16,7 +16,6 @@ def main() -> int:
     ap.add_argument("--max-levels", type=int, default=3)
     ap.add_argument("--gamma", default="1/2")
     ap.add_argument("--random-measures", type=int, default=20)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--format", choices=("json", "text"), default="text")
     args = ap.parse_args()
 
@@ -26,8 +25,7 @@ def main() -> int:
             "--format", args.format,
             "example52", "--levels", str(levels), "--part", "all",
             "--gamma", args.gamma,
-            "--random-measures", str(args.random_measures),
-            "--jobs", str(args.jobs)])
+            "--random-measures", str(args.random_measures)])
         worst = max(worst, code)
     return worst
 

@@ -14,13 +14,12 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
-                        mcshane_sup_extension, slope)
+                        lip_norm, mcshane_sup_extension, slope)
 from .metric import (FiniteMetricSpace, builtin_space, parse_rational,
                      space_from_json, validate_metric)
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
@@ -131,23 +130,19 @@ def render_proof(payload: dict) -> str:
         return "\n".join(lines + ["(no embedded space; nothing to derive)"])
     kind = payload.get("kind")
     if kind == "ld2p-certificate":
-        f = function_from_json(space, payload["f"])
-        g = function_from_json(space, payload["g"])
-        gamma = Fraction(payload["gamma"])
-        u, v = payload["u"], payload["v"]
-        pair_set = [tuple(p) for p in payload["pair_set"]]
-        for pair in pair_set:
-            lines.append(f"slope(f, {pair}) = {slope(f, pair)} >= {gamma}")
-            lines.append(f"slope(g, {pair}) = {slope(g, pair)} >= {gamma}")
-        pts = sorted({q for p in pair_set for q in p})
-        for x in pts:
-            for y in pts:
-                lhs = max(f(x) - f(y), g(y) - g(x)) + gamma * space.d(u, v)
-                rhs = space.d(x, u) + space.d(y, v)
-                lines.append(f"max(f({x})-f({y}), g({y})-g({x})) "
-                             f"+ {gamma}*d({u},{v}) = {lhs} <= {rhs}")
+        mu = functionals.measure_from_json(space, payload["measure"])
+        gamma = parse_rational(payload["gamma"])
+        pairs = reports.pairs_from_json(space, payload["pair_set"])
+        lines.append(f"mu(A) = {mu.mass_of(pairs)} >= {gamma} * mu(M~) = "
+                     f"{gamma * mu.total_mass()}")
+        lines += _two_sided_proof(space, payload, pairs, gamma,
+                                  payload["u"], payload["v"])
+    elif kind == "two-lip-ltp" and payload.get("found"):
+        gamma = 1 - parse_rational(payload["eps"])
+        lines += _two_sided_proof(space, payload, reports.pairs_from_json(
+            space, payload["pairs"]), gamma, *payload["pair"])
     elif kind == "lip-ltp" and not payload.get("found", True):
-        eps = Fraction(payload["eps"])
+        eps = parse_rational(payload["eps"])
         for viol in payload["violations"]:
             u, v = viol["candidate"]
             lines.append(
@@ -156,6 +151,15 @@ def render_proof(payload: dict) -> str:
     else:
         lines.append(json.dumps(payload, indent=2))
     return "\n".join(lines) + "\n"
+
+
+def _two_sided_proof(space, payload, pairs, gamma, u, v) -> list[str]:
+    """The inequalities `d2p.replay_two_sided` checks, with exact values."""
+    f = function_from_json(space, payload["f"])
+    g = function_from_json(space, payload["g"])
+    rows = d2p.replay_two_sided(pairs, gamma, u, v, f, g)
+    return [f"lip(f) = {lip_norm(f)} <= 1, lip(g) = {lip_norm(g)} <= 1"] + [
+        f"slope({name}, {pair}) = {s} >= {gamma}" for name, pair, s in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +368,9 @@ def _battery_measures(space: FiniteMetricSpace, seed: int, count: int):
     return measures
 
 
-def _battery_run(task):
-    space_json, measure_json, gamma_str = task
-    space = space_from_json(space_json)
-    mu = functionals.measure_from_json(space, measure_json)
-    outcome = d2p.ld2p_certificate(mu, Fraction(gamma_str))
+def _battery_run(mu: functionals.PairMeasure, gamma: Fraction) -> dict:
+    outcome = d2p.ld2p_certificate(mu, gamma)
+    measure_json = functionals.measure_to_json(mu)
     if outcome.certificate is None:
         return {"measure": measure_json, "found": False,
                 "scanned": outcome.log.scanned}
@@ -400,15 +402,8 @@ def cmd_example52(args, started) -> int:
 
     if args.part in ("ld2p", "all"):
         seed = int(os.environ.get("LIPFREE_SEED", "0"))
-        measures = _battery_measures(space, seed, args.random_measures)
-        tasks = [(reports.space_to_json(space),
-                  functionals.measure_to_json(mu), str(gamma))
-                 for mu in measures]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_battery_run, tasks))
-        else:
-            results = [_battery_run(t) for t in tasks]
+        results = [_battery_run(mu, gamma) for mu in
+                   _battery_measures(space, seed, args.random_measures)]
         found = sum(1 for r in results if r["found"])
         payload["ld2p"] = {"gamma": reports.frac(gamma), "seed": seed,
                            "total": len(results), "certified": found,
@@ -536,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part", choices=("w-d2p", "ld2p", "all"), default="all")
     p.add_argument("--gamma", default="1/2")
     p.add_argument("--random-measures", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_example52)
 
     p = sub.add_parser("verify", help="replay a report without searching")

@@ -1,22 +1,22 @@
 """Diameter-two-property certificates and their refutation tables.
 
-Every returned certificate replays all of its invariant inequalities
-exactly before being handed back; a replay failure anywhere raises
-`SoundnessError`.  A negative answer (ABSENT) always carries an audit
-log of what was scanned and why each candidate failed.
+The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
+step and one replay, `replay_two_sided`, run by the searches, `verify`
+and `--emit-proof`; a replay failure raises `SoundnessError`.  A negative
+answer (ABSENT) carries an audit log of every candidate and its failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 from .errors import InvalidInput, SoundnessError
-from .functionals import PairMeasure, dual_norm, is_optimal
+from .functionals import PairMeasure
 from .lipschitz import LipschitzFunction, in_unit_ball, slope
-from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set, project
-from .monotone import (CmCertificate, CmViolation, check_augmented, check_gamma,
+from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set
+from .monotone import (CmViolation, check_augmented, check_gamma,
                        check_gamma_cm, synthesize_witness)
 
 MAX_SUPPORT = 16
@@ -76,6 +76,52 @@ def lip_ltp_witness(space: FiniteMetricSpace, subset: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
+# The two-sided augmentation step and its replay
+
+def _two_sided(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
+               u: str, v: str) -> tuple[Optional[str], Any]:
+    """Decide A + (u, v) ("forward"), then A + (v, u) ("backward").
+    Returns (side, violation) at the first side that is not gamma-CM, else
+    (None, (f, g)): f from the backward certificate, g from the forward."""
+    fwd = check_augmented(space, pairs, gamma, u, v)
+    if isinstance(fwd, CmViolation):
+        return "forward", fwd
+    bwd = check_augmented(space, pairs, gamma, v, u)
+    if isinstance(bwd, CmViolation):
+        return "backward", bwd
+    return None, (synthesize_witness(space, bwd.pairs, gamma, bwd),
+                  synthesize_witness(space, fwd.pairs, gamma, fwd))
+
+
+def replay_two_sided(pairs: PairSet, gamma: Fraction, u: str, v: str,
+                     f: LipschitzFunction, g: LipschitzFunction
+                     ) -> list[tuple[str, Pair, Fraction]]:
+    """Replay a two-sided witness: f and g lie in the unit ball, f has
+    slope >= gamma on A + (v, u) and g has slope >= gamma on A + (u, v).
+    Returns the checked slopes as (name, pair, slope) rows.
+
+    These checks imply what the search decided.  The potentials
+    alpha_i = f(y_i) satisfy alpha_i <= alpha_j + beta_ij on A + (v, u):
+    f(y_i) <= f(x_i) - gamma d(x_i, y_i) <= f(y_j) + d(x_i, y_j)
+    - gamma d(x_i, y_i), and f(y_i) <= f(y_j) + d(y_i, y_j).  So
+    A + (v, u) is gamma-CM, and A + (u, v) is by g alike.  They also give
+    the two-sided bound max{f(x) - f(y), g(y) - g(x)} + gamma d(u, v)
+    <= d(x, u) + d(y, v) for all x, y: f(v) - f(u) >= gamma d(u, v)
+    telescopes f(x) - f(y) + gamma d(u, v) <= (f(x) - f(u)) + (f(v) - f(y)),
+    and g(u) - g(v) >= gamma d(u, v) bounds g(y) - g(x) the same way.
+    """
+    if not (in_unit_ball(f) and in_unit_ball(g)):
+        raise SoundnessError("two-sided witness escapes the unit ball")
+    rows = [(name, pair, slope(h, pair))
+            for name, h, last in (("f", f, (v, u)), ("g", g, (u, v)))
+            for pair in (*pairs, last)]
+    for name, pair, s in rows:
+        if s < gamma:
+            raise SoundnessError(f"slope({name}, {pair}) = {s} < {gamma}")
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # 2-Lip-LTP (a cyclically monotonic pair set)
 
 @dataclass(frozen=True)
@@ -95,44 +141,17 @@ def two_lip_ltp_witness(space: FiniteMetricSpace, pairs: PairSet,
     if not 0 < eps < 1:
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
     pairs = make_pair_set(space, pairs)
-    base_check = check_gamma_cm(space, pairs, Fraction(1))
-    if isinstance(base_check, CmViolation):
+    if isinstance(check_gamma_cm(space, pairs, Fraction(1)), CmViolation):
         raise InvalidInput("pair set is not cyclically monotonic")
     gamma = 1 - eps
     failures: list[tuple[Pair, str, tuple[int, ...]]] = []
     for u, v in space.pairs():
-        fwd = check_augmented(space, pairs, gamma, u, v)
-        if isinstance(fwd, CmViolation):
-            failures.append(((u, v), "forward", fwd.cycle))
-            continue
-        bwd = check_augmented(space, pairs, gamma, v, u)
-        if isinstance(bwd, CmViolation):
-            failures.append(((u, v), "backward", bwd.cycle))
-            continue
-        f = synthesize_witness(space, bwd.pairs, gamma, bwd)
-        g = synthesize_witness(space, fwd.pairs, gamma, fwd)
-        _replay_pairwise(space, pairs, f, g, u, v, gamma)
-        for pair in pairs:
-            if slope(f, pair) < gamma or slope(g, pair) < gamma:
-                raise SoundnessError(f"witness slope below 1 - eps at {pair}")
-        return TwoLipLtpResult(True, eps, (u, v), f, g)
+        side, out = _two_sided(space, pairs, gamma, u, v)
+        if side is None:
+            replay_two_sided(pairs, gamma, u, v, *out)
+            return TwoLipLtpResult(True, eps, (u, v), *out)
+        failures.append(((u, v), side, out.cycle))
     return TwoLipLtpResult(False, eps, failures=tuple(failures))
-
-
-def _replay_pairwise(space, pairs, f, g, u, v, gamma) -> None:
-    """max{f(x)-f(y), g(y)-g(x)} + gamma d(u,v) <= d(x,u) + d(y,v).
-
-    f witnesses the (v, u)-augmentation, so f(v) - f(u) >= gamma d(u, v)
-    and the first branch telescopes; g witnesses (u, v) and gives the
-    second.
-    """
-    guv = gamma * space.d(u, v)
-    for x in project(pairs):
-        for y in project(pairs):
-            lhs = max(f(x) - f(y), g(y) - g(x)) + guv
-            if lhs > space.d(x, u) + space.d(y, v):
-                raise SoundnessError(
-                    f"two-sided bound fails at ({x}, {y}) for ({u}, {v})")
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +167,11 @@ class Ld2pCertificate:
     gamma: Fraction
 
     def replay(self, mu: PairMeasure) -> None:
-        space = mu.space
-        gamma = self.gamma
-        if mu.mass_of(self.pair_set) < gamma * mu.total_mass():
+        """mu(pair_set) >= gamma * mu(M~), then `replay_two_sided`."""
+        if mu.mass_of(self.pair_set) < self.gamma * mu.total_mass():
             raise SoundnessError("selected pair set carries too little mass")
-        for h in (self.f, self.g):
-            if not in_unit_ball(h):
-                raise SoundnessError("certificate function escapes the ball")
-        for pair in self.pair_set:
-            if slope(self.f, pair) < gamma or slope(self.g, pair) < gamma:
-                raise SoundnessError(f"certificate slope below gamma at {pair}")
-        for w, pr in ((self.u, self.v), (self.v, self.u)):
-            aug = make_pair_set(space, self.pair_set + ((w, pr),))
-            if isinstance(check_gamma_cm(space, aug, gamma), CmViolation):
-                raise SoundnessError("augmented set is not gamma-CM")
-        _replay_pairwise(space, self.pair_set, self.f, self.g,
-                         self.u, self.v, gamma)
+        replay_two_sided(self.pair_set, self.gamma, self.u, self.v,
+                         self.f, self.g)
 
 
 @dataclass(frozen=True)
@@ -171,12 +179,12 @@ class SearchLog:
     scanned: int
     # (pair-set candidate index, candidate (u,v), failing side)
     entries: tuple[tuple[int, Pair, str], ...]
-    truncated: bool
+    truncated: bool   # some failure is missing past MAX_LOG_ENTRIES
 
 
 @dataclass(frozen=True)
-class Ld2pOutcome:
-    certificate: Optional[Ld2pCertificate]
+class SearchOutcome:
+    certificate: Optional[Union[Ld2pCertificate, Sd2pCertificate]]
     log: Optional[SearchLog] = None
 
 
@@ -196,7 +204,21 @@ def _mass_candidates(mu: PairMeasure, gamma: Fraction) -> list[PairSet]:
     return [s for _, s in out]
 
 
-def ld2p_certificate(mu: PairMeasure, gamma: Fraction) -> Ld2pOutcome:
+def _require_normalized_optimal(mu: PairMeasure, not_optimal: str,
+                                not_normalized: str) -> None:
+    """Positive, with a 1-CM support and total mass 1: for a positive
+    measure with CM support the norm is the total mass."""
+    if not mu.is_positive():
+        raise InvalidInput("optimality is defined for positive measures; "
+                           "positivize first")
+    if isinstance(check_gamma_cm(mu.space, mu.support(), Fraction(1)),
+                  CmViolation):
+        raise InvalidInput(not_optimal)
+    if mu.total_mass() != 1:
+        raise InvalidInput(not_normalized)
+
+
+def ld2p_certificate(mu: PairMeasure, gamma: Fraction) -> SearchOutcome:
     """Search for a local-diameter-two certificate for one functional.
 
     Preconditions: mu positive, optimal, and normalized to total mass 1.
@@ -209,35 +231,25 @@ def ld2p_certificate(mu: PairMeasure, gamma: Fraction) -> Ld2pOutcome:
     if gamma == 1:
         raise InvalidInput("the certificate search needs gamma < 1")
     space = mu.space
-    if not is_optimal(mu).optimal:
-        raise InvalidInput("measure is not optimal (support is not CM)")
-    if dual_norm(mu).norm != 1:
-        raise InvalidInput("measure is not normalized to norm one")
+    _require_normalized_optimal(
+        mu, "measure is not optimal (support is not CM)",
+        "measure is not normalized to norm one")
 
     entries: list[tuple[int, Pair, str]] = []
     scanned = 0
-    truncated = False
     for a_index, cand in enumerate(_mass_candidates(mu, gamma)):
         for u, v in space.pairs():
             scanned += 1
-            fwd = check_augmented(space, cand, gamma, u, v)
-            if isinstance(fwd, CmViolation):
-                side = "forward"
-            else:
-                bwd = check_augmented(space, cand, gamma, v, u)
-                if isinstance(bwd, CmViolation):
-                    side = "backward"
-                else:
-                    f = synthesize_witness(space, bwd.pairs, gamma, bwd)
-                    g = synthesize_witness(space, fwd.pairs, gamma, fwd)
-                    cert = Ld2pCertificate(cand, f, g, u, v, gamma)
-                    cert.replay(mu)
-                    return Ld2pOutcome(cert)
+            side, out = _two_sided(space, cand, gamma, u, v)
+            if side is None:
+                cert = Ld2pCertificate(cand, *out, u, v, gamma)
+                cert.replay(mu)
+                return SearchOutcome(cert)
             if len(entries) < MAX_LOG_ENTRIES:
                 entries.append((a_index, (u, v), side))
-            else:
-                truncated = True
-    return Ld2pOutcome(None, SearchLog(scanned, tuple(entries), truncated))
+    # Every scanned candidate failed.
+    return SearchOutcome(None, SearchLog(scanned, tuple(entries),
+                                         scanned > len(entries)))
 
 
 @dataclass(frozen=True)
@@ -255,14 +267,8 @@ class Sd2pCertificate:
             part.replay(mu)
 
 
-@dataclass(frozen=True)
-class Sd2pOutcome:
-    certificate: Optional[Sd2pCertificate]
-    log: Optional[SearchLog] = None
-
-
 def sd2p_certificate(mu_list: Sequence[PairMeasure],
-                     gamma: Fraction) -> Sd2pOutcome:
+                     gamma: Fraction) -> SearchOutcome:
     """Common-(u, v) certificate across several optimal functionals."""
     gamma = check_gamma(gamma)
     if gamma == 1:
@@ -273,41 +279,30 @@ def sd2p_certificate(mu_list: Sequence[PairMeasure],
     for mu in mu_list:
         if mu.space.points != space.points:
             raise InvalidInput("measures live on different spaces")
-        if not is_optimal(mu).optimal:
-            raise InvalidInput("a measure is not optimal")
-        if dual_norm(mu).norm != 1:
-            raise InvalidInput("a measure is not normalized to norm one")
+        _require_normalized_optimal(mu, "a measure is not optimal",
+                                    "a measure is not normalized to norm one")
     candidates = [_mass_candidates(mu, gamma) for mu in mu_list]
 
     entries: list[tuple[int, Pair, str]] = []
     scanned = 0
-    truncated = False
     for u, v in space.pairs():
         parts: list[Ld2pCertificate] = []
-        for i, mu in enumerate(mu_list):
-            found = None
-            for cand in candidates[i]:
+        for i, cands in enumerate(candidates):
+            for cand in cands:
                 scanned += 1
-                fwd = check_augmented(space, cand, gamma, u, v)
-                if isinstance(fwd, CmViolation):
-                    continue
-                bwd = check_augmented(space, cand, gamma, v, u)
-                if isinstance(bwd, CmViolation):
-                    continue
-                f = synthesize_witness(space, bwd.pairs, gamma, bwd)
-                g = synthesize_witness(space, fwd.pairs, gamma, fwd)
-                found = Ld2pCertificate(cand, f, g, u, v, gamma)
-                found.replay(mu)
-                break
-            if found is None:
+                side, out = _two_sided(space, cand, gamma, u, v)
+                if side is None:
+                    parts.append(Ld2pCertificate(cand, *out, u, v, gamma))
+                    break
+            else:
                 if len(entries) < MAX_LOG_ENTRIES:
                     entries.append((i, (u, v), "no-candidate"))
-                else:
-                    truncated = True
                 break
-            parts.append(found)
         if len(parts) == len(mu_list):
             cert = Sd2pCertificate(tuple(parts), u, v)
             cert.replay(mu_list)
-            return Sd2pOutcome(cert)
-    return Sd2pOutcome(None, SearchLog(scanned, tuple(entries), truncated))
+            return SearchOutcome(cert)
+    # Every candidate pair failed.
+    n = len(space)
+    return SearchOutcome(None, SearchLog(scanned, tuple(entries),
+                                         n * (n - 1) > len(entries)))

@@ -248,6 +248,10 @@ def builtin_space(name: str) -> FiniteMetricSpace:
 # JSON round-trip
 
 def parse_rational(s: str | int) -> Fraction:
+    """An int or a ``"p/q"`` string; a JSON float or bool is refused."""
+    if isinstance(s, (bool, float)):
+        raise InvalidInput(f"bad rational literal {s!r}: write an integer "
+                           "or a 'p/q' string")
     try:
         return Fraction(s)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .d2p import (Ld2pCertificate, LipLtpWitness, Sd2pCertificate,
-                  TwoLipLtpResult, _replay_pairwise)
+                  TwoLipLtpResult, replay_two_sided)
 from .errors import InvalidInput, SoundnessError
 from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
                           SliceDiameterResult, apply_measure,
@@ -233,12 +233,36 @@ def _ok(cond: bool, msg: str) -> None:
         raise SoundnessError(msg)
 
 
+def _ld2p_from_json(space: FiniteMetricSpace, body: dict) -> Ld2pCertificate:
+    return Ld2pCertificate(
+        pairs_from_json(space, body["pair_set"]),
+        function_from_json(space, body["f"]),
+        function_from_json(space, body["g"]),
+        body["u"], body["v"], parse_rational(body["gamma"]))
+
+
+def _replay_cm(space: FiniteMetricSpace, body: dict) -> str:
+    """Replay a cm-certificate or cm-violation body on `space`."""
+    pairs = pairs_from_json(space, body["pairs"])
+    gamma = parse_rational(body["gamma"])
+    if body["kind"] == "cm-certificate":
+        cert = CmCertificate(pairs, gamma, tuple(
+            parse_rational(a) for a in body["potentials"]))
+        cert.replay(space)
+        return f"potential certificate replayed on {len(cert.pairs)} pairs"
+    viol = CmViolation(pairs, gamma, tuple(body["cycle"]),
+                       parse_rational(body["deficit"]))
+    viol.replay(space)
+    return f"negative cycle replayed, deficit {viol.deficit}"
+
+
 def verify_payload(payload: dict) -> str:
     """Replay the invariants of a report payload; return a summary line.
 
     Raises `SoundnessError` if any replayed inequality fails and
     `InvalidInput` on malformed payloads: a missing field, a field of the
-    wrong type, or a rational field that does not parse.
+    wrong type, an index out of range, or a rational field that does not
+    parse.
     """
     if not isinstance(payload, dict):
         raise InvalidInput(f"a payload must be an object, got {payload!r}")
@@ -249,7 +273,7 @@ def verify_payload(payload: dict) -> str:
     except KeyError as exc:
         raise InvalidInput(f"malformed {payload.get('kind')!r} payload: "
                            f"missing field {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise InvalidInput(f"malformed {payload.get('kind')!r} payload: "
                            f"{exc}") from None
 
@@ -265,22 +289,8 @@ def _replay_payload(payload: dict) -> str:
         _ok(report.ok == payload["ok"], "validation verdict changed on replay")
         return f"validation verdict replayed: ok={report.ok}"
 
-    if kind == "cm-certificate":
-        cert = CmCertificate(
-            pairs_from_json(space, payload["pairs"]),
-            parse_rational(payload["gamma"]),
-            tuple(parse_rational(a) for a in payload["potentials"]))
-        cert.replay(space)
-        return f"potential certificate replayed on {len(cert.pairs)} pairs"
-
-    if kind == "cm-violation":
-        viol = CmViolation(
-            pairs_from_json(space, payload["pairs"]),
-            parse_rational(payload["gamma"]),
-            tuple(payload["cycle"]),
-            parse_rational(payload["deficit"]))
-        viol.replay(space)
-        return f"negative cycle replayed, deficit {viol.deficit}"
+    if kind in ("cm-certificate", "cm-violation"):
+        return _replay_cm(space, payload)
 
     if kind == "cm-witness":
         f = function_from_json(space, payload["function"])
@@ -299,9 +309,19 @@ def _replay_payload(payload: dict) -> str:
         return f"norm attainment replayed at {norm}"
 
     if kind == "optimality":
-        if payload["optimal"]:
-            return verify_payload(payload["support_certificate"])
-        return verify_payload(payload["support_violation"])
+        mu = measure_from_json(space, payload["measure"])
+        _ok(mu.is_positive(), "optimality needs a positive measure")
+        support = payload["support_certificate" if payload["optimal"]
+                          else "support_violation"]
+        want = "cm-certificate" if payload["optimal"] else "cm-violation"
+        _ok(support["kind"] == want
+            and support["space"] == payload["space"]
+            and parse_rational(support["gamma"]) == 1
+            and set(pairs_from_json(space, support["pairs"]))
+            == set(mu.support()),
+            f"the {want} is not the 1-CM verdict on the support "
+            "of the measure")
+        return _replay_cm(space, support)
 
     if kind == "positivize":
         nu = measure_from_json(space, payload["input"])
@@ -329,69 +349,72 @@ def _replay_payload(payload: dict) -> str:
 
     if kind == "lip-ltp":
         f = function_from_json(space, payload["function"])
-        eps = parse_rational(payload["eps"])
+        scale = 1 - parse_rational(payload["eps"])
         subset = payload["subset"]
         _ok(in_unit_ball(f), "function escapes the unit ball")
+        _ok(all(p in space for p in subset), "subset leaves the space")
         if payload["found"]:
             u, v = payload["pair"]
             for x in subset:
                 for y in subset:
-                    _ok((1 - eps) * (abs(f(x) - f(y)) + space.d(u, v))
+                    _ok(scale * (abs(f(x) - f(y)) + space.d(u, v))
                         <= space.d(x, u) + space.d(y, v),
                         f"witness pair fails at ({x}, {y})")
             return "compatible pair replayed"
-        for viol in payload["violations"]:
+        violations = payload["violations"]
+        members, covered = set(subset), set()
+        for viol in violations:
             u, v = viol["candidate"]
-            lhs = (1 - eps) * (abs(f(viol["x"]) - f(viol["y"])) + space.d(u, v))
+            covered.add((u, v))
+            _ok(viol["x"] in members and viol["y"] in members,
+                "violation row leaves the subset")
+            lhs = scale * (abs(f(viol["x"]) - f(viol["y"])) + space.d(u, v))
             rhs = space.d(viol["x"], u) + space.d(viol["y"], v)
             _ok(lhs == parse_rational(viol["lhs"])
                 and rhs == parse_rational(viol["rhs"]),
                 "violation row does not recompute")
             _ok(lhs > rhs, "logged violation is not a violation")
-        return f"{len(payload['violations'])} violation rows replayed"
+        _ok(covered == set(space.pairs()), "violation rows miss a candidate")
+        return f"{len(violations)} violation rows replayed"
 
     if kind == "two-lip-ltp":
         pairs = pairs_from_json(space, payload["pairs"])
-        eps = parse_rational(payload["eps"])
-        gamma = 1 - eps
+        gamma = 1 - parse_rational(payload["eps"])
         if not payload["found"]:
-            for entry in payload["failures"]:
-                aug = pairs + (tuple(entry["candidate"]),)
-                if entry["side"] == "backward":
-                    aug = pairs + (tuple(reversed(entry["candidate"])),)
-                aug = make_pair_set(space, aug)
+            failures = payload["failures"]
+            _ok([tuple(entry["candidate"]) for entry in failures]
+                == list(space.pairs()),
+                "failure rows do not cover every candidate pair in order")
+            for entry in failures:
+                u, v = entry["candidate"]
+                side = entry["side"]
+                _ok(side in ("forward", "backward"), f"unknown side {side!r}")
+                added = (u, v) if side == "forward" else (v, u)
+                aug = make_pair_set(space, pairs + (added,))
                 total = cycle_sum(space, aug, tuple(entry["cycle"]), gamma)
                 _ok(total < 0, "logged cycle is not negative")
-            return f"{len(payload['failures'])} failure rows replayed"
+            return f"{len(failures)} failure rows replayed"
         u, v = payload["pair"]
-        f = function_from_json(space, payload["f"])
-        g = function_from_json(space, payload["g"])
-        for h in (f, g):
-            _ok(in_unit_ball(h), "witness escapes the unit ball")
-        for pair in pairs:
-            _ok(slope(f, pair) >= gamma and slope(g, pair) >= gamma,
-                f"slope below 1 - eps at {pair}")
-        _replay_pairwise(space, pairs, f, g, u, v, gamma)
+        replay_two_sided(pairs, gamma, u, v,
+                         function_from_json(space, payload["f"]),
+                         function_from_json(space, payload["g"]))
         return "two-sided witness replayed"
 
     if kind == "ld2p-certificate":
-        mu = measure_from_json(space, payload["measure"])
-        cert = Ld2pCertificate(
-            pairs_from_json(space, payload["pair_set"]),
-            function_from_json(space, payload["f"]),
-            function_from_json(space, payload["g"]),
-            payload["u"], payload["v"], parse_rational(payload["gamma"]))
-        cert.replay(mu)
+        cert = _ld2p_from_json(space, payload)
+        cert.replay(measure_from_json(space, payload["measure"]))
         return f"LD2P certificate replayed at gamma {cert.gamma}"
 
     if kind == "sd2p-certificate":
         measures = [measure_from_json(space, m) for m in payload["measures"]]
-        for mu, part in zip(measures, payload["parts"]):
-            verify_payload(part)
-        u, v = payload["u"], payload["v"]
-        for part in payload["parts"]:
-            _ok(part["u"] == u and part["v"] == v,
-                "parts disagree on the common pair")
+        parts = payload["parts"]
+        for mu, part in zip(measures, parts):
+            _ok(part["space"] == payload["space"] and mu.atoms
+                == measure_from_json(space, part["measure"]).atoms,
+                "a part does not certify the measure at its index")
+        # The replay also checks that there is one part per measure.
+        Sd2pCertificate(tuple(_ld2p_from_json(space, part) for part in parts),
+                        payload["u"], payload["v"]).replay(measures)
         return f"SD2P certificate replayed over {len(measures)} functionals"
 
     if kind == "prune":

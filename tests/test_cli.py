@@ -233,14 +233,18 @@ def test_example52_parts(capsys):
         report["payload"]["ld2p"]["total"]
 
 
-def test_example52_seed_and_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("LIPFREE_SEED", "7")
+def test_example52_seed(capsys, monkeypatch):
     args = ["example52", "--levels", "1", "--part", "ld2p",
             "--random-measures", "4"]
-    _, serial = run_json(capsys, args)
-    _, parallel = run_json(capsys, args + ["--jobs", "2"])
-    assert serial["payload"]["ld2p"] == parallel["payload"]["ld2p"]
-    assert serial["payload"]["ld2p"]["seed"] == 7
+    monkeypatch.setenv("LIPFREE_SEED", "7")
+    _, first = run_json(capsys, args)
+    _, again = run_json(capsys, args)
+    monkeypatch.setenv("LIPFREE_SEED", "8")
+    _, other = run_json(capsys, args)
+    assert first["payload"]["ld2p"] == again["payload"]["ld2p"]
+    assert first["payload"]["ld2p"]["seed"] == 7
+    assert [r["measure"] for r in first["payload"]["ld2p"]["runs"]] != \
+        [r["measure"] for r in other["payload"]["ld2p"]["runs"]]
 
 
 def test_emit_proof_writes_derivation(files, capsys, tmp_path):
@@ -271,8 +275,13 @@ def test_verify_malformed_payload_fields_exit_1(files, capsys, tmp_path):
     del norm["payload"]["measure"]
     _, cert = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs", p, m])
     cert["payload"]["gamma"] = "abc"
+    opposite = files("opp.json", {"pairs": [["0", "2"], ["2", "0"]]})
+    _, cycle = run_json(capsys, ["check-cm", "--gamma", "1",
+                                 "--pairs", opposite, m])
+    cycle["payload"]["cycle"] = [0, 5]
     for report, needle in ((norm, "missing field 'measure'"),
                            (cert, "bad rational literal 'abc'"),
+                           (cycle, "index out of range"),
                            ([cert], "does not hold a report object")):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
@@ -329,3 +338,124 @@ def test_consecutive_calls_match_fresh_processes(files, capsys, tmp_path):
             assert proof.exists()
             proof.unlink()
     assert not proof.exists()
+
+
+# ---------------------------------------------------------------------------
+# Tampered reports must not verify
+
+def _verify_code(capsys, tmp_path, payload):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({"payload": payload}))
+    code = main(["verify", str(path)])
+    capsys.readouterr()
+    return code
+
+
+def test_verify_rejects_g_replaced_by_f(files, capsys, tmp_path):
+    """With g = f, f - g = 0 certifies no diameter."""
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    one = files("one.json", {"pairs": [["1", "0"]]})
+    for argv in (["ld2p-cert", "--gamma", "1/2", mu, "--metric", m],
+                 ["two-lip-ltp", "--eps", "1/2", "--pairs", one, m]):
+        code, report = run_json(capsys, argv)
+        assert code == 0, argv
+        payload = report["payload"]
+        assert _verify_code(capsys, tmp_path, payload) == 0, argv
+        payload["g"] = payload["f"]
+        assert _verify_code(capsys, tmp_path, payload) == 1, argv
+
+
+def test_verify_ties_sd2p_parts_to_the_measures(files, capsys, tmp_path):
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    unit = files("unit.json", {"atoms": [
+        {"from": "1", "to": "0", "weight": "1"}]})
+    code, report = run_json(capsys, ["sd2p-cert", "--gamma", "1/2", mu, unit,
+                                     "--metric", m])
+    assert code == 0
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    measures = payload["measures"]
+    payload["measures"] = measures[::-1]
+    assert _verify_code(capsys, tmp_path, payload) == 1
+    payload["measures"] = measures + [measures[0]]
+    assert _verify_code(capsys, tmp_path, payload) == 1
+
+
+def test_verify_ties_optimality_to_its_measure(files, capsys, tmp_path):
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    opposite = files("opp.json", {"atoms": [
+        {"from": "0", "to": "2", "weight": "1"},
+        {"from": "2", "to": "0", "weight": "1"}]})
+    _, optimal = run_json(capsys, ["optimal", mu, "--metric", m])
+    _, not_optimal = run_json(capsys, ["optimal", opposite, "--metric", m])
+    payload = optimal["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    # A non-optimal measure under the certificate of another support.
+    swapped = dict(payload, measure=not_optimal["payload"]["measure"])
+    assert _verify_code(capsys, tmp_path, swapped) == 1
+    # The same support with a negative weight.
+    signed = json.loads(json.dumps(payload))
+    signed["measure"]["atoms"][0]["weight"] = "-1/2"
+    assert _verify_code(capsys, tmp_path, signed) == 1
+    # A violation filed as the certificate of an "optimal" verdict.
+    flipped = dict(not_optimal["payload"], optimal=True,
+                   support_certificate=not_optimal["payload"][
+                       "support_violation"])
+    assert _verify_code(capsys, tmp_path, flipped) == 1
+
+
+def test_verify_lip_ltp_absent_covers_every_candidate(files, capsys,
+                                                      tmp_path):
+    m = files("m.json", LINE3_JSON)
+    f = files("f.json", {"values": {"0": "0", "1": "1", "2": "2"}})
+    code, report = run_json(capsys, ["lip-ltp", "--eps", "1/4", "--subset",
+                                     "0,1,2", "--function", f, m])
+    assert code == 2
+    payload = report["payload"]
+    rows = payload["violations"]
+    assert len(rows) == 14
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    assert _verify_code(capsys, tmp_path, dict(payload, violations=rows[:1])) \
+        == 1
+    # (0, 1) is compatible on the subset {0}; the rows use 1 and 2.
+    assert _verify_code(capsys, tmp_path, dict(payload, subset=["0"])) == 1
+
+
+def test_verify_two_lip_ltp_absent_covers_every_candidate(files, capsys,
+                                                          tmp_path):
+    m = files("m.json", LINE3_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    code, report = run_json(capsys, ["two-lip-ltp", "--eps", "1/2",
+                                     "--pairs", p, m])
+    assert code == 2
+    payload = report["payload"]
+    rows = payload["failures"]
+    assert len(rows) == 6
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    for tampered in (rows[:1], [], rows[::-1],
+                     [dict(rows[0], side="sideways")] + rows[1:]):
+        assert _verify_code(capsys, tmp_path,
+                            dict(payload, failures=tampered)) == 1
+
+
+def test_json_floats_and_booleans_exit_1(files, capsys, tmp_path):
+    m = files("m.json", LINE3_JSON)
+    float_weight = files("fw.json", {"atoms": [
+        {"from": "1", "to": "0", "weight": 0.1}]})
+    assert main(["norm", float_weight, "--metric", m]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    bool_distance = files("bd.json", dict(LINE3_JSON, distances=[
+        ["0", True, "2"], ["1", "0", "1"], ["2", "1", "0"]]))
+    assert main(["norm", files("u.json", DESCENT_MEASURE),
+                 "--metric", bool_distance]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    p = files("p.json", DESCENT_PAIRS)
+    _, report = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs", p, m])
+    report["payload"]["potentials"][0] = 0.0
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

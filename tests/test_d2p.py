@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipcert.cli import EXAMPLE52_EPS, EXAMPLE52_N, example52_function
 from lipcert.d2p import (Ld2pCertificate, ld2p_certificate, lip_ltp_witness,
-                         sd2p_certificate, two_lip_ltp_witness)
+                         replay_two_sided, sd2p_certificate,
+                         two_lip_ltp_witness)
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure, slice_diameter
 from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
@@ -12,7 +15,8 @@ from lipcert.metric import build_example52, build_line, project
 from lipcert.monotone import CmCertificate, brute_force_cm_oracle, \
     check_gamma_cm
 
-from conftest import random_pairs, random_space
+from conftest import (random_ball_function, random_pairs, random_space,
+                      star_optimal_measure)
 
 LINE3 = build_line(3)
 HALF = Fraction(1, 2)
@@ -225,6 +229,93 @@ def test_sd2p_input_validation():
     other = PairMeasure(LINE3, {("1", "0"): 1})
     with pytest.raises(InvalidInput):
         sd2p_certificate([mu, other], HALF)
+
+
+# ---------------------------------------------------------------------------
+# The two-sided replay against the conditions it replaces
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+GAMMAS = st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4)])
+
+
+def assert_two_sided_reference(space, pairs, gamma, u, v, f, g):
+    """Both augmentations are gamma-CM by cycle enumeration, and the
+    two-sided bound holds at every pair of points."""
+    assert brute_force_cm_oracle(space, pairs + ((u, v),), gamma)
+    assert brute_force_cm_oracle(space, pairs + ((v, u),), gamma)
+    guv = gamma * space.d(u, v)
+    for x in space.points:
+        for y in space.points:
+            assert max(f(x) - f(y), g(y) - g(x)) + guv <= \
+                space.d(x, u) + space.d(y, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, GAMMAS)
+def test_search_certificates_pass_the_replay(seed, gamma):
+    rng = random.Random(seed)
+    space = random_space(rng, 5)
+    pairs = random_pairs(rng, space, 3)
+    if isinstance(check_gamma_cm(space, pairs, Fraction(1)), CmCertificate):
+        res = two_lip_ltp_witness(space, pairs, 1 - gamma)
+        if res.found:
+            replay_two_sided(pairs, gamma, *res.pair, res.f, res.g)
+            assert_two_sided_reference(space, pairs, gamma, *res.pair,
+                                       res.f, res.g)
+    mu = star_optimal_measure(rng, space)
+    cert = ld2p_certificate(mu, gamma).certificate
+    if cert is not None:
+        cert.replay(mu)
+        assert_two_sided_reference(space, cert.pair_set, gamma, cert.u,
+                                   cert.v, cert.f, cert.g)
+
+
+def _cone(space, z, mix, rng):
+    """mix * (d(., z) - d(base, z)) + (1 - mix) * a random ball function:
+    in the unit ball, with slope >= mix across every (p, z)."""
+    h = random_ball_function(rng, space)
+    return LipschitzFunction(space, {
+        p: mix * (space.d(p, z) - space.d(space.base, z)) + (1 - mix) * h(p)
+        for p in space.points})
+
+
+@st.composite
+def two_sided_candidates(draw):
+    rng = random.Random(draw(SEEDS))
+    space = random_space(rng, 5)
+    u, v = draw(st.sampled_from(list(space.pairs())))
+    gamma = draw(GAMMAS)
+    if draw(st.booleans()):
+        mix = draw(st.sampled_from([Fraction(1), Fraction(3, 4), HALF]))
+        f, g = _cone(space, u, mix, rng), _cone(space, v, mix, rng)
+    else:
+        f, g = random_ball_function(rng, space), random_ball_function(rng,
+                                                                      space)
+    steep = [p for p in space.pairs()
+             if slope(f, p) >= gamma and slope(g, p) >= gamma]
+    pairs = tuple(rng.sample(steep, draw(st.integers(0, min(3, len(steep))))))
+    if draw(st.booleans()):
+        pairs += (draw(st.sampled_from(list(space.pairs()))),)
+    return space, pairs, gamma, u, v, f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_sided_candidates())
+def test_replay_implies_the_searched_conditions(case):
+    space, pairs, gamma, u, v, f, g = case
+    try:
+        replay_two_sided(pairs, gamma, u, v, f, g)
+    except SoundnessError:
+        return
+    assert_two_sided_reference(space, pairs, gamma, u, v, f, g)
+
+
+def test_replay_rejects_g_equal_f():
+    space = build_example52(1)
+    mu = PairMeasure(space, {("x1", "y1"): 1})
+    cert = ld2p_certificate(mu, HALF).certificate
+    with pytest.raises(SoundnessError):
+        replay_two_sided(cert.pair_set, HALF, cert.u, cert.v, cert.f, cert.f)
 
 
 # ---------------------------------------------------------------------------
