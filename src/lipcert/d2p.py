@@ -4,6 +4,13 @@ The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
 step and one replay, `replay_two_sided`, run by the searches, `verify`
 and `--emit-proof`; a replay failure raises `SoundnessError`.  A negative
 answer (ABSENT) carries an audit log of every candidate and its failure.
+
+The Lip-LTP inequality (1 - eps)(|f(x) - f(y)| + d(u, v)) > d(x, u) +
+d(y, v) is compiled once onto integers by `LipLtpInequality`: with
+D = L * d the space's matrix, F = K * f over K = lcm(L, the value
+denominators), s = K / L and 1 - eps = c / b, both sides times b * K are
+c * (|F_x - F_y| + s * D_uv) and b * s * (D_xu + D_yv).  The search and
+the `verify` replay of `lip-ltp` reports both evaluate this one form.
 """
 from __future__ import annotations
 
@@ -15,7 +22,8 @@ from typing import Any, Optional, Sequence, Union
 from .errors import InvalidInput, SoundnessError
 from .functionals import PairMeasure
 from .lipschitz import LipschitzFunction, in_unit_ball, slope
-from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set
+from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
+                     make_pair_set)
 from .monotone import (CmViolation, check_augmented, check_gamma,
                        check_gamma_cm, synthesize_witness)
 
@@ -43,35 +51,68 @@ class LipLtpWitness:
     violations: tuple[LipLtpViolation, ...] = ()
 
 
+class LipLtpInequality:
+    """The Lip-LTP inequality of one function at one eps, on integers.
+
+    Row (x, y) of candidate (u, v) reads lhs > rhs with
+    lhs = c * (|F_x - F_y| + s * D_uv) and rhs = b * s * (D_xu + D_yv),
+    both over `denominator` = b * K, where 1 - eps = c / b, F = K * f over
+    K = lcm(L, value denominators), D = L * d and s = K / L.  Nothing is
+    rounded: lhs / (b K) and rhs / (b K) are exactly the two rational
+    sides.  D_xu and D_yv are read as written, not by symmetry.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, eps: Fraction,
+                 f: LipschitzFunction):
+        if not 0 < eps < 1:
+            raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
+        K, self._F = _common_scale(space.scale,
+                                   [f.values[p] for p in space.points])
+        s = K // space.scale
+        b = eps.denominator
+        c = b - eps.numerator
+        self._c, self._cs, self._bs = c, c * s, b * s
+        self._D = space.int_dist
+        self.denominator = b * K
+
+    def rows(self, u: int, v: int, xs: Sequence[int], ys: Sequence[int]
+             ) -> list[tuple[int, int, int, int]]:
+        """(x, y, lhs, rhs) for candidate (u, v) and every x in xs, y in ys,
+        x-major; all arguments are point indices."""
+        D, F, c, bs = self._D, self._F, self._c, self._bs
+        t = self._cs * D[u][v]
+        return [(x, y, c * abs(F[x] - F[y]) + t, bs * (D[x][u] + D[y][v]))
+                for x in xs for y in ys]
+
+
 def lip_ltp_witness(space: FiniteMetricSpace, subset: Sequence[str],
                     eps: Fraction, f: LipschitzFunction) -> LipLtpWitness:
     """Scan all ordered (u, v) for one compatible with f on the subset.
 
     Returns the first working pair in declaration order, or ABSENT with
-    every violating (x, y) for every candidate.
+    every violating (x, y) for every candidate.  Each row is decided by
+    `LipLtpInequality` on integers; only the logged rows become
+    `Fraction`s, lhs / (b K) and rhs / (b K).
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
+    form = LipLtpInequality(space, Fraction(eps), f)
     if not in_unit_ball(f):
         raise InvalidInput("function is outside the unit ball")
-    pts = [p for p in space.points if p in set(subset)]
     for p in subset:
         space.index(p)
-    scale = 1 - eps
+    members = set(subset)
+    pts = space.points
+    idx = [i for i, p in enumerate(pts) if p in members]
+    den = form.denominator
     violations: list[LipLtpViolation] = []
     for u, v in space.pairs():
-        bad_here: list[LipLtpViolation] = []
-        duv = space.d(u, v)
-        for x in pts:
-            for y in pts:
-                lhs = scale * (abs(f(x) - f(y)) + duv)
-                rhs = space.d(x, u) + space.d(y, v)
-                if lhs > rhs:
-                    bad_here.append(LipLtpViolation((u, v), x, y, lhs, rhs))
-        if not bad_here:
+        bad = [row for row in form.rows(space.index(u), space.index(v),
+                                        idx, idx) if row[2] > row[3]]
+        if not bad:
             return LipLtpWitness(True, (u, v))
-        violations.extend(bad_here)
+        violations.extend(
+            LipLtpViolation((u, v), pts[x], pts[y], Fraction(lhs, den),
+                            Fraction(rhs, den))
+            for x, y, lhs, rhs in bad)
     return LipLtpWitness(False, None, tuple(violations))
 
 

@@ -50,7 +50,9 @@ class FiniteMetricSpace:
         n = len(self.points)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise InvalidInput("distance matrix does not match point count")
-        self._dist = tuple(tuple(Fraction(x) for x in row) for row in dist)
+        # Values that are already Fractions (from the JSON loader) are kept.
+        self._dist = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                                 for x in row) for row in dist)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -203,13 +203,18 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
     """Unit-ball function with difference quotient >= gamma across `pairs`.
 
     Built as the inf-extension of y_i -> alpha_i, then shifted to vanish
-    at the base point; the slope postcondition is replayed exactly.
+    at the base point.  The certificate is not replayed again (the
+    callers take it from `check_gamma_cm`, which has just replayed it):
+    the slope postcondition on every pair and unit-ball membership are
+    checked exactly and gate the result, so bad potentials end in
+    `SoundnessError`, never in a wrong function.
     """
     gamma = check_gamma(gamma)
     pairs = make_pair_set(space, pairs)
     if cert.pairs != pairs or cert.gamma != gamma:
         raise InvalidInput("certificate does not match the queried instance")
-    cert.replay(space)
+    if len(cert.potentials) != len(pairs):
+        raise SoundnessError("potential count does not match pair count")
     if not pairs:
         return LipschitzFunction(space, {p: 0 for p in space.points})
     # Later alpha_i for the same y_i must agree up to beta_ii' bounds; the

@@ -11,8 +11,8 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .d2p import (Ld2pCertificate, LipLtpWitness, Sd2pCertificate,
-                  TwoLipLtpResult, replay_two_sided)
+from .d2p import (Ld2pCertificate, LipLtpInequality, LipLtpWitness,
+                  Sd2pCertificate, TwoLipLtpResult, replay_two_sided)
 from .errors import InvalidInput, SoundnessError
 from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
                           SliceDiameterResult, apply_measure,
@@ -20,8 +20,9 @@ from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
                         in_unit_ball, slope)
 from .metric import (FiniteMetricSpace, PairSet, ValidationReport,
-                     make_pair_set, parse_rational, rational_str,
-                     space_from_json, space_to_json, validate_metric)
+                     build_example52, make_pair_set, parse_rational,
+                     rational_str, space_from_json, space_to_json,
+                     validate_metric)
 from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
                        cycle_sum)
 
@@ -256,6 +257,94 @@ def _replay_cm(space: FiniteMetricSpace, body: dict) -> str:
     return f"negative cycle replayed, deficit {viol.deficit}"
 
 
+def _same(num: int, den: int, logged: Fraction) -> bool:
+    """num / den == logged, by cross-multiplying."""
+    return num * logged.denominator == logged.numerator * den
+
+
+def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
+    """Replay a lip-ltp body on `space` through `LipLtpInequality`.
+
+    A found pair must satisfy every row (x, y) of the subset.  An absent
+    verdict needs a row for every candidate; each row is recomputed on
+    integers over b * K and compared with its logged sides by
+    cross-multiplying, so an unreduced ``"p/q"`` reads the same.
+    """
+    f = function_from_json(space, body["function"])
+    form = LipLtpInequality(space, parse_rational(body["eps"]), f)
+    subset = body["subset"]
+    _ok(in_unit_ball(f), "function escapes the unit ball")
+    _ok(all(p in space for p in subset), "subset leaves the space")
+    den = form.denominator
+    if body["found"]:
+        u, v = space.check_pair(body["pair"])
+        idx = [space.index(p) for p in subset]
+        for x, y, lhs, rhs in form.rows(space.index(u), space.index(v),
+                                        idx, idx):
+            if lhs > rhs:
+                raise SoundnessError("witness pair fails at "
+                                     f"({space.points[x]}, {space.points[y]})")
+        return "compatible pair replayed"
+    violations = body["violations"]
+    members, covered = set(subset), set()
+    for viol in violations:
+        u, v = viol["candidate"]
+        covered.add((u, v))
+        x, y = viol["x"], viol["y"]
+        _ok(x in members and y in members, "violation row leaves the subset")
+        _, _, lhs, rhs = form.rows(space.index(u), space.index(v),
+                                   [space.index(x)], [space.index(y)])[0]
+        _ok(_same(lhs, den, parse_rational(viol["lhs"]))
+            and _same(rhs, den, parse_rational(viol["rhs"])),
+            "violation row does not recompute")
+        _ok(lhs > rhs, "logged violation is not a violation")
+    _ok(covered == set(space.pairs()), "violation rows miss a candidate")
+    return f"{len(violations)} violation rows replayed"
+
+
+def _replay_example52(space: FiniteMetricSpace, body: dict) -> str:
+    """Replay the separating example on `space`, example52 at `levels`.
+
+    The w*-D2P part must be an absent lip-ltp report on the same space;
+    every found LD2P battery run replays its ld2p-certificate on the run's
+    own measure, and `total` and `certified` must recount from the runs.
+    """
+    levels = body["levels"]
+    # The point count bounds `levels` before the space is rebuilt.
+    _ok(type(levels) is int and len(space) == 6 + 6 * levels
+        and space_to_json(build_example52(levels)) == body["space"],
+        "the space is not example52 at the stated levels")
+    _ok("w_d2p" in body or "ld2p" in body, "the report has no part")
+    done = []
+    if "w_d2p" in body:
+        part = body["w_d2p"]
+        _ok(part["kind"] == "lip-ltp" and part["space"] == body["space"]
+            and not part["found"],
+            "the w*-D2P part is not a Lip-LTP refutation on the space")
+        done.append(f"w*-D2P refutation: {_replay_lip_ltp(space, part)}")
+    if "ld2p" in body:
+        battery = body["ld2p"]
+        gamma = parse_rational(battery["gamma"])
+        runs = battery["runs"]
+        found = [run for run in runs if run["found"]]
+        _ok(battery["total"] == len(runs)
+            and battery["certified"] == len(found),
+            "the battery counts do not recount from the runs")
+        for run in found:
+            cert = run["certificate"]
+            mu = measure_from_json(space, run["measure"])
+            _ok(cert["kind"] == "ld2p-certificate"
+                and cert["space"] == body["space"]
+                and parse_rational(cert["gamma"]) == gamma
+                and measure_from_json(space, cert["measure"]).atoms
+                == mu.atoms,
+                "a battery certificate does not certify its run's measure")
+            _ld2p_from_json(space, cert).replay(mu)
+        done.append(f"{len(found)} of {len(runs)} LD2P battery "
+                    "certificates replayed")
+    return "; ".join(done)
+
+
 def verify_payload(payload: dict) -> str:
     """Replay the invariants of a report payload; return a summary line.
 
@@ -348,34 +437,10 @@ def _replay_payload(payload: dict) -> str:
         return f"slice diameter lower bound {diam} replayed"
 
     if kind == "lip-ltp":
-        f = function_from_json(space, payload["function"])
-        scale = 1 - parse_rational(payload["eps"])
-        subset = payload["subset"]
-        _ok(in_unit_ball(f), "function escapes the unit ball")
-        _ok(all(p in space for p in subset), "subset leaves the space")
-        if payload["found"]:
-            u, v = payload["pair"]
-            for x in subset:
-                for y in subset:
-                    _ok(scale * (abs(f(x) - f(y)) + space.d(u, v))
-                        <= space.d(x, u) + space.d(y, v),
-                        f"witness pair fails at ({x}, {y})")
-            return "compatible pair replayed"
-        violations = payload["violations"]
-        members, covered = set(subset), set()
-        for viol in violations:
-            u, v = viol["candidate"]
-            covered.add((u, v))
-            _ok(viol["x"] in members and viol["y"] in members,
-                "violation row leaves the subset")
-            lhs = scale * (abs(f(viol["x"]) - f(viol["y"])) + space.d(u, v))
-            rhs = space.d(viol["x"], u) + space.d(viol["y"], v)
-            _ok(lhs == parse_rational(viol["lhs"])
-                and rhs == parse_rational(viol["rhs"]),
-                "violation row does not recompute")
-            _ok(lhs > rhs, "logged violation is not a violation")
-        _ok(covered == set(space.pairs()), "violation rows miss a candidate")
-        return f"{len(violations)} violation rows replayed"
+        return _replay_lip_ltp(space, payload)
+
+    if kind == "example52":
+        return _replay_example52(space, payload)
 
     if kind == "two-lip-ltp":
         pairs = pairs_from_json(space, payload["pairs"])

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import lipcert
-from lipcert.cli import main
-from lipcert.metric import build_line, space_to_json
+from lipcert.cli import EXAMPLE52_N, example52_function, main
+from lipcert.lipschitz import function_to_json
+from lipcert.metric import build_example52, build_line, space_to_json
 
 LINE3_JSON = space_to_json(build_line(3))
 DESCENT_PAIRS = {"pairs": [["2", "1"], ["1", "0"]]}
@@ -439,6 +440,88 @@ def test_verify_two_lip_ltp_absent_covers_every_candidate(files, capsys,
                      [dict(rows[0], side="sideways")] + rows[1:]):
         assert _verify_code(capsys, tmp_path,
                             dict(payload, failures=tampered)) == 1
+
+
+def _example52_lip_ltp(files, capsys, eps):
+    """A lip-ltp report for the Example 5.2 function on example52:1."""
+    f = files("f52.json", function_to_json(
+        example52_function(build_example52(1))))
+    return run_json(capsys, ["lip-ltp", "--builtin", "example52:1", "--eps",
+                             eps, "--subset", ",".join(EXAMPLE52_N),
+                             "--function", f])
+
+
+def test_verify_lip_ltp_rows_to_the_last_unit(files, capsys, tmp_path):
+    """At eps = 1/14 and f in halves, b * K = 14 * 2: a side one 1/28 off
+    is rejected, an unreduced side that equals it is not."""
+    code, report = _example52_lip_ltp(files, capsys, "1/14")
+    assert code == 2
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    rows = payload["violations"]
+    k = next(i for i, row in enumerate(rows)
+             if (row["lhs"], row["rhs"]) == ("65/28", "2"))
+    for field, value, want in (("rhs", "57/28", 1), ("rhs", "55/28", 1),
+                               ("lhs", "66/28", 1), ("lhs", "130/56", 0),
+                               ("rhs", "56/28", 0)):
+        tampered = [dict(row) for row in rows]
+        tampered[k][field] = value
+        assert _verify_code(capsys, tmp_path,
+                            dict(payload, violations=tampered)) == want, value
+
+
+def test_verify_lip_ltp_found_pair_must_hold(files, capsys, tmp_path):
+    code, report = _example52_lip_ltp(files, capsys, "1/2")
+    assert code == 0
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    # (x1, x2) is refuted: the row x = x1, y = x2 reads d(x1, x2) / 2 > 0.
+    assert payload["pair"] != ["x1", "x2"]
+    assert _verify_code(capsys, tmp_path,
+                        dict(payload, pair=["x1", "x2"])) == 1
+    # A degenerate pair, and eps = 1, where every row holds trivially.
+    assert _verify_code(capsys, tmp_path, dict(payload, pair=["x1", "x1"])) \
+        == 1
+    assert _verify_code(capsys, tmp_path, dict(payload, eps="1")) == 1
+
+
+def test_verify_example52_reports(capsys, tmp_path):
+    code, report = run_json(capsys, ["example52", "--levels", "1",
+                                     "--random-measures", "2"])
+    assert code == 0
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    for part in ("w-d2p", "ld2p"):
+        _, single = run_json(capsys, ["example52", "--levels", "1", "--part",
+                                      part, "--random-measures", "1"])
+        assert _verify_code(capsys, tmp_path, single["payload"]) == 0, part
+
+    def tampered(edit):
+        body = json.loads(json.dumps(payload))
+        edit(body)
+        return _verify_code(capsys, tmp_path, body)
+
+    def flip_refutation(body):
+        body["w_d2p"]["found"] = True
+        body["w_d2p"]["pair"] = ["x1", "y1"]
+
+    def flip_run(body):
+        body["ld2p"]["runs"][0]["found"] = False
+
+    def miscount(body):
+        body["ld2p"]["certified"] -= 1
+
+    def swap_measures(body):
+        runs = body["ld2p"]["runs"]
+        runs[0]["measure"], runs[-1]["measure"] = \
+            runs[-1]["measure"], runs[0]["measure"]
+
+    def relabel_levels(body):
+        body["levels"] = 2
+
+    for edit in (flip_refutation, flip_run, miscount, swap_measures,
+                 relabel_levels):
+        assert tampered(edit) == 1, edit.__name__
 
 
 def test_json_floats_and_booleans_exit_1(files, capsys, tmp_path):

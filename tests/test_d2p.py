@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,21 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipcert.cli import EXAMPLE52_EPS, EXAMPLE52_N, example52_function
-from lipcert.d2p import (Ld2pCertificate, ld2p_certificate, lip_ltp_witness,
-                         replay_two_sided, sd2p_certificate,
-                         two_lip_ltp_witness)
+from lipcert.d2p import (Ld2pCertificate, LipLtpViolation, LipLtpWitness,
+                         ld2p_certificate, lip_ltp_witness, replay_two_sided,
+                         sd2p_certificate, two_lip_ltp_witness)
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure, slice_diameter
 from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
-from lipcert.metric import build_example52, build_line, project
+from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 from lipcert.monotone import CmCertificate, brute_force_cm_oracle, \
     check_gamma_cm
+from lipcert.reports import lip_ltp_payload, verify_payload
 
 from conftest import (random_ball_function, random_pairs, random_space,
                       star_optimal_measure)
 
 LINE3 = build_line(3)
 HALF = Fraction(1, 2)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,73 @@ def test_lip_ltp_input_validation():
     big = LipschitzFunction(LINE3, {"0": 0, "1": 2, "2": 4})
     with pytest.raises(InvalidInput):
         lip_ltp_witness(LINE3, ["0"], HALF, big)
+
+
+@pytest.mark.parametrize("levels, rows", [(1, 962), (2, 1952), (3, 3274)])
+def test_lip_ltp_row_counts_on_example52(levels, rows):
+    space = build_example52(levels)
+    f = example52_function(space)
+    res = lip_ltp_witness(space, EXAMPLE52_N, EXAMPLE52_EPS, f)
+    assert not res.found and len(res.violations) == rows
+
+
+def reference_lip_ltp(space, subset, eps, f):
+    """The Lip-LTP scan written out in `Fraction`, as before the integer
+    form: the first compatible (u, v), or every violating row."""
+    pts = [p for p in space.points if p in set(subset)]
+    scale = 1 - eps
+    violations = []
+    for u, v in space.pairs():
+        bad_here = []
+        duv = space.d(u, v)
+        for x in pts:
+            for y in pts:
+                lhs = scale * (abs(f(x) - f(y)) + duv)
+                rhs = space.d(x, u) + space.d(y, v)
+                if lhs > rhs:
+                    bad_here.append(LipLtpViolation((u, v), x, y, lhs, rhs))
+        if not bad_here:
+            return LipLtpWitness(True, (u, v))
+        violations.extend(bad_here)
+    return LipLtpWitness(False, None, tuple(violations))
+
+
+def _quasi_metric_space(rng, max_points=6, denom=6):
+    """Positive rational distances with no symmetry or triangle
+    inequality, so that d(x, u) and d(u, x) differ."""
+    n = rng.randint(2, max_points)
+    dist = [[Fraction(0) if i == j else
+             Fraction(rng.randint(1, 3 * denom), rng.randint(1, denom))
+             for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", dist)
+
+
+@st.composite
+def lip_ltp_instances(draw):
+    rng = random.Random(draw(SEEDS))
+    if draw(st.booleans()):
+        space = random_space(rng, 6, denom=draw(st.integers(1, 7)))
+    else:
+        space = _quasi_metric_space(rng)
+    f = random_ball_function(rng, space)
+    q = draw(st.integers(2, 40))
+    eps = Fraction(draw(st.integers(1, q - 1)), q)
+    # Sizes past the point count mean the whole space: absent verdicts.
+    size = min(len(space), draw(st.integers(0, len(space) + 2)))
+    subset = rng.sample(space.points, size)
+    if subset and draw(st.booleans()):
+        subset.append(subset[0])
+    return space, subset, eps, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(lip_ltp_instances())
+def test_lip_ltp_matches_the_fraction_loop(case):
+    space, subset, eps, f = case
+    res = lip_ltp_witness(space, subset, eps, f)
+    assert res == reference_lip_ltp(space, subset, eps, f)
+    payload = lip_ltp_payload(space, subset, eps, f, res)
+    verify_payload(json.loads(json.dumps(payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +304,6 @@ def test_sd2p_input_validation():
 # ---------------------------------------------------------------------------
 # The two-sided replay against the conditions it replaces
 
-SEEDS = st.integers(0, 2 ** 32 - 1)
 GAMMAS = st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4)])
 
 

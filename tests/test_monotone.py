@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure
@@ -116,6 +118,31 @@ def test_tampered_violation_fails_replay():
     bad = CmViolation(result.pairs, HALF, result.cycle, result.deficit - 1)
     with pytest.raises(SoundnessError):
         bad.replay(LINE3)
+
+
+SHIFTS = [Fraction(0)] * 4 + [Fraction(k, 4) for k in (-8, -3, -1, 1, 2, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)]))
+def test_witness_from_tampered_potentials_is_sound_or_refused(seed, gamma):
+    """The certificate is not replayed again; the witness's own checks
+    must refuse bad potentials or return a function that really is one."""
+    rng = random.Random(seed)
+    space = random_space(rng, 5)
+    pairs = random_pairs(rng, space, 4)
+    result = check_gamma_cm(space, pairs, gamma)
+    start = (result.potentials if isinstance(result, CmCertificate)
+             else (Fraction(0),) * len(pairs))
+    cert = CmCertificate(pairs, gamma,
+                         tuple(a + rng.choice(SHIFTS) for a in start))
+    try:
+        f = synthesize_witness(space, pairs, gamma, cert)
+    except SoundnessError:
+        return
+    assert lip_norm(f) <= 1
+    assert all(slope(f, pair) >= gamma for pair in pairs)
 
 
 # ---------------------------------------------------------------------------
