@@ -19,9 +19,9 @@ from fractions import Fraction
 from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
-                        lip_norm, mcshane_sup_extension, slope)
-from .metric import (FiniteMetricSpace, builtin_space, parse_rational,
-                     space_from_json, validate_metric)
+                        lip_norm, mcshane_sup_extension)
+from .metric import (FiniteMetricSpace, _common_scale, builtin_space,
+                     parse_rational, space_from_json, validate_metric)
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
 
@@ -96,6 +96,55 @@ def _rational(args, flag: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # Output
 
+class _IndentEncoder(json.JSONEncoder):
+    """Writes ``json.dumps(obj, indent=2)`` whatever its options, in one walk
+    that hands every string to the C ``encode_basestring_ascii`` and every
+    other scalar to the C one-shot encoder (`json` alone falls back to pure
+    Python for an indent).  Dict keys must be ``str``; a value that is not
+    a dict, list, tuple, str, int, float, bool or None raises `TypeError`.
+    """
+
+    def encode(self, o) -> str:
+        quote = json.encoder.encode_basestring_ascii
+        scalar = json.encoder.c_make_encoder(
+            None, self.default, quote, None, ": ", ",", False, False, True)
+        chunks: list[str] = []
+        write = chunks.append
+
+        def walk(o, nl: str) -> None:
+            if isinstance(o, str):
+                write(quote(o))
+            elif isinstance(o, (list, tuple)) and o:
+                inner = nl + "  "
+                sep = "," + inner
+                try:  # a list of strings, such as a distance row
+                    write("[" + inner + sep.join(map(quote, o)) + nl + "]")
+                except TypeError:
+                    lead = "[" + inner
+                    for x in o:
+                        write(lead)
+                        walk(x, inner)
+                        lead = sep
+                    write(nl + "]")
+            elif isinstance(o, dict) and o:
+                inner = nl + "  "
+                sep = "," + inner
+                lead = "{" + inner
+                for k, v in o.items():
+                    if isinstance(v, str):
+                        write(lead + quote(k) + ": " + quote(v))
+                    else:
+                        write(lead + quote(k) + ": ")
+                        walk(v, inner)
+                    lead = sep
+                write(nl + "}")
+            else:  # a number, true, false, null, [] or {}
+                chunks.extend(scalar(o, 0))
+
+        walk(o, "\n")
+        return "".join(chunks)
+
+
 def emit(args, verdict: str, payload: dict, exit_code: int,
          started: float, text_lines: list[str]) -> int:
     report = {
@@ -110,7 +159,7 @@ def emit(args, verdict: str, payload: dict, exit_code: int,
         "elapsed_seconds": round(time.monotonic() - started, 6),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=False))
+        print(json.dumps(report, indent=2, cls=_IndentEncoder))
     else:
         print(f"[{verdict}]")
         for line in text_lines:
@@ -336,6 +385,17 @@ def cmd_verify(args, started) -> int:
 # ---------------------------------------------------------------------------
 # Example 5.2 reproduction
 
+def _steep_pairs(f: LipschitzFunction) -> list:
+    """The pairs of `space.pairs()` across which f has slope 1, decided as
+    F_x - F_y == s * D_xy on the common integer scale of f and d."""
+    space = f.space
+    K, F = _common_scale(space.scale, [f(p) for p in space.points])
+    s = K // space.scale
+    pts = space.points
+    return [(pts[i], pts[j]) for i, row in enumerate(space.int_dist)
+            for j in range(len(pts)) if i != j and F[i] - F[j] == s * row[j]]
+
+
 def _battery_measures(space: FiniteMetricSpace, seed: int, count: int):
     """Unit atoms on the core-hexagon pairs plus seeded random optimal
     measures with cyclically monotonic support."""
@@ -356,7 +416,7 @@ def _battery_measures(space: FiniteMetricSpace, seed: int, count: int):
         except InvalidInput:
             continue
         f, _ = mcshane_sup_extension(partial, space)
-        steep = [p for p in space.pairs() if slope(f, p) == 1]
+        steep = _steep_pairs(f)
         if not steep:
             continue
         support = rng.sample(steep, min(len(steep), rng.randint(1, 3)))

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidInput
 from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
-                     parse_rational, rational_str)
+                     _literal_parser, rational_str)
 
 
 class LipschitzFunction:
@@ -25,7 +25,8 @@ class LipschitzFunction:
     def __init__(self, space: FiniteMetricSpace,
                  values: Mapping[str, Fraction | int | str]):
         self.space = space
-        vals = {p: Fraction(v) for p, v in values.items()}
+        vals = {p: v if isinstance(v, Fraction) else Fraction(v)
+                for p, v in values.items()}
         missing = [p for p in space.points if p not in vals]
         if missing:
             raise InvalidInput(f"function undefined at {missing}")
@@ -52,7 +53,8 @@ class PartialFunction:
         if not values:
             raise InvalidInput("partial function domain is empty")
         self.space = space
-        self.values = {p: Fraction(v) for p, v in values.items()}
+        self.values = {p: v if isinstance(v, Fraction) else Fraction(v)
+                       for p, v in values.items()}
         for p in self.values:
             space.index(p)
 
@@ -173,7 +175,8 @@ def function_from_json(space: FiniteMetricSpace, obj: dict) -> LipschitzFunction
         raw = obj["values"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed function JSON: {exc}") from None
-    return LipschitzFunction(space, {p: parse_rational(v) for p, v in raw.items()})
+    parse = _literal_parser()
+    return LipschitzFunction(space, {p: parse(v) for p, v in raw.items()})
 
 
 def function_to_json(f: LipschitzFunction) -> dict:

@@ -72,6 +72,11 @@ class FiniteMetricSpace:
         return tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
                      for row in self._dist)
 
+    @cached_property
+    def dist_str(self) -> tuple[tuple[str, ...], ...]:
+        """The distances as their ``"p/q"`` JSON literals."""
+        return tuple(tuple(map(rational_str, row)) for row in self._dist)
+
     def require_positive(self) -> FiniteMetricSpace:
         """Reject a zero or negative distance between distinct points."""
         for i, row in enumerate(self.int_dist):
@@ -264,6 +269,25 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
+def _literal_parser():
+    """`parse_rational` with a memo of the ``str`` literals it has parsed.
+
+    Make one per load: a report repeats a few literals thousands of times.
+    Any other value goes to `parse_rational` on every call, so it is
+    refused as there.
+    """
+    memo: dict[str, Fraction] = {}
+
+    def parse(x):
+        if type(x) is not str:
+            return parse_rational(x)
+        value = memo.get(x)
+        if value is None:
+            value = memo[x] = parse_rational(x)
+        return value
+    return parse
+
+
 def _common_scale(scale: int, values: Sequence[Fraction]
                   ) -> tuple[int, list[int]]:
     """(K, X): K = lcm(scale, denominators of values), X[i] = K * values[i].
@@ -282,14 +306,15 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         rows = obj["distances"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed metric JSON: {exc}") from None
-    dist = [[parse_rational(x) for x in row] for row in rows]
+    parse = _literal_parser()
+    dist = [[parse(x) for x in row] for row in rows]
     return FiniteMetricSpace(points, base, dist)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
+    """A fresh dict each call, so a caller may change it freely."""
     return {
         "points": list(space.points),
         "base": space.base,
-        "distances": [[rational_str(space.d(p, q)) for q in space.points]
-                      for p in space.points],
+        "distances": [list(row) for row in space.dist_str],
     }

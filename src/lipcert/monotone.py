@@ -257,6 +257,21 @@ def _frac_part(x: Fraction) -> Fraction:
     return x - math.floor(x)
 
 
+def _prune_threshold(space: FiniteMetricSpace, mu, gamma: Fraction,
+                     n: int) -> Fraction:
+    """t = n(1 - gamma), once the other inputs of `prune_to_cm` hold:
+    distances are integers in 0..n, mu is positive and t < 1."""
+    bound = space.integer_bound()
+    if bound is None or bound > n:
+        raise InvalidInput(f"distances must be integers in 0..{n}")
+    if not mu.is_positive():
+        raise InvalidInput("measure must be positive")
+    t = n * (1 - gamma)
+    if t >= 1:
+        raise InvalidInput("n(1 - gamma) must be below 1")
+    return t
+
+
 def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
                 gamma: Fraction, n: int) -> PairSet:
     """Extract a 1-CM subset B of a gamma-CM set on an integer metric.
@@ -269,14 +284,7 @@ def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
     """
     gamma = check_gamma(gamma)
     pairs = make_pair_set(space, pairs)
-    bound = space.integer_bound()
-    if bound is None or bound > n:
-        raise InvalidInput(f"distances must be integers in 0..{n}")
-    if not mu.is_positive():
-        raise InvalidInput("measure must be positive")
-    t = n * (1 - gamma)
-    if t >= 1:
-        raise InvalidInput("n(1 - gamma) must be below 1")
+    t = _prune_threshold(space, mu, gamma, n)
     result = check_gamma_cm(space, pairs, gamma)
     if isinstance(result, CmViolation):
         raise InvalidInput("input pair set is not gamma-cyclically monotonic")

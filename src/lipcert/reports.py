@@ -20,15 +20,15 @@ from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
                         in_unit_ball, slope)
 from .metric import (FiniteMetricSpace, PairSet, ValidationReport,
-                     build_example52, make_pair_set, parse_rational,
-                     rational_str, space_from_json, space_to_json,
-                     validate_metric)
-from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
-                       cycle_sum)
+                     _literal_parser, build_example52, make_pair_set,
+                     parse_rational, rational_str, space_from_json,
+                     space_to_json, validate_metric)
+from .monotone import (CmCertificate, CmResult, CmViolation, _prune_threshold,
+                       check_gamma, check_gamma_cm, cycle_sum)
 
 
 def frac(x) -> str:
-    return rational_str(Fraction(x))
+    return rational_str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def pairs_to_json(pairs: PairSet) -> list[list[str]]:
@@ -287,6 +287,7 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
         return "compatible pair replayed"
     violations = body["violations"]
     members, covered = set(subset), set()
+    parse = _literal_parser()
     for viol in violations:
         u, v = viol["candidate"]
         covered.add((u, v))
@@ -294,8 +295,8 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
         _ok(x in members and y in members, "violation row leaves the subset")
         _, _, lhs, rhs = form.rows(space.index(u), space.index(v),
                                    [space.index(x)], [space.index(y)])[0]
-        _ok(_same(lhs, den, parse_rational(viol["lhs"]))
-            and _same(rhs, den, parse_rational(viol["rhs"])),
+        _ok(_same(lhs, den, parse(viol["lhs"]))
+            and _same(rhs, den, parse(viol["rhs"])),
             "violation row does not recompute")
         _ok(lhs > rhs, "logged violation is not a violation")
     _ok(covered == set(space.pairs()), "violation rows miss a candidate")
@@ -486,12 +487,15 @@ def _replay_payload(payload: dict) -> str:
         pairs = pairs_from_json(space, payload["pairs"])
         kept = pairs_from_json(space, payload["kept"])
         mu = measure_from_json(space, payload["measure"])
-        gamma = parse_rational(payload["gamma"])
-        n = int(payload["bound"])
+        gamma = check_gamma(parse_rational(payload["gamma"]))
+        n = payload["bound"]
+        if type(n) is not int:
+            raise InvalidInput(f"the bound must be an integer, got {n!r}")
+        t = _prune_threshold(space, mu, gamma, n)
         _ok(set(kept) <= set(pairs), "kept set is not a subset")
         verdict = check_gamma_cm(space, kept, Fraction(1))
         _ok(isinstance(verdict, CmCertificate), "kept set is not 1-CM")
-        slack = 2 * n * (1 - gamma) * mu.total_mass()
+        slack = 2 * t * mu.total_mass()
         _ok(mu.mass_of(kept) >= mu.mass_of(pairs) - slack,
             "mass bound fails")
         return f"pruned set replayed, kept {len(kept)} of {len(pairs)} pairs"

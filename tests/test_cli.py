@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import lipcert
+from lipcert import cli
 from lipcert.cli import EXAMPLE52_N, example52_function, main
-from lipcert.lipschitz import function_to_json
+from lipcert.lipschitz import function_to_json, slope
 from lipcert.metric import build_example52, build_line, space_to_json
 
 LINE3_JSON = space_to_json(build_line(3))
@@ -542,3 +543,62 @@ def test_json_floats_and_booleans_exit_1(files, capsys, tmp_path):
     path.write_text(json.dumps(report))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_steep_filter_matches_fraction_slopes(monkeypatch):
+    """The battery's steep pairs, decided on integers, are the pairs of
+    slope exactly 1 in `Fraction`, in `space.pairs()` order."""
+    steep_pairs = cli._steep_pairs
+    seen = []
+
+    def checked(f):
+        steep = steep_pairs(f)
+        assert steep == [p for p in f.space.pairs() if slope(f, p) == 1]
+        seen.append(steep)
+        return steep
+    monkeypatch.setattr(cli, "_steep_pairs", checked)
+    for levels in (1, 2, 3):
+        space = build_example52(levels)
+        for seed in range(21):
+            cli._battery_measures(space, seed, 2)
+    assert len(seen) >= 3 * 21 * 2
+
+
+@pytest.mark.parametrize("bound", [2.9, "2", True, 0, -5])
+def test_verify_prune_requires_an_admissible_integer_bound(files, capsys,
+                                                           tmp_path, bound):
+    m = files("m.json", LINE3_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    mu = files("mu.json", DESCENT_MEASURE)
+    code, report = run_json(capsys, ["prune-cm", "--gamma", "3/4", "--bound",
+                                     "2", "--pairs", p, mu, "--metric", m])
+    assert code == 0
+    assert _verify_code(capsys, tmp_path, report["payload"]) == 0
+    path = tmp_path / "prune.json"
+    path.write_text(json.dumps(dict(report["payload"], bound=bound)))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", [[1], None, 1.0, True])
+def test_non_string_literals_exit_1(files, capsys, tmp_path, bad):
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    rows = [row[:] for row in LINE3_JSON["distances"]]
+    rows[0][1] = bad
+    bad_metric = files("bm.json", dict(LINE3_JSON, distances=rows))
+    f = function_to_json(example52_function(build_example52(1)))
+    f["values"]["x2"] = bad
+    bad_function = files("bf.json", f)
+    runs = [["norm", mu, "--metric", bad_metric],
+            ["lip-ltp", "--builtin", "example52:1", "--eps", "1/14",
+             "--subset", ",".join(EXAMPLE52_N), "--function", bad_function]]
+    code, report = _example52_lip_ltp(files, capsys, "1/14")
+    assert code == 2
+    report["payload"]["violations"][0]["lhs"] = bad
+    path = tmp_path / "lhs.json"
+    path.write_text(json.dumps(report))
+    runs.append(["verify", str(path)])
+    for argv in runs:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv

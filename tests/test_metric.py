@@ -151,6 +151,18 @@ def test_space_json_roundtrip():
     assert all(t.d(p, q) == s.d(p, q) for p in s.points for q in s.points)
 
 
+def test_space_to_json_is_fresh_on_every_call():
+    s = FiniteMetricSpace(["a", "b"], "a", [[0, Fraction(1, 2)],
+                                            [Fraction(1, 2), 0]])
+    first = space_to_json(s)
+    assert first["distances"] == [["0", "1/2"], ["1/2", "0"]]
+    first["distances"][0][1] = "7"
+    first["distances"].append(["x"])
+    first["points"].append("c")
+    assert space_to_json(s) == {"points": ["a", "b"], "base": "a",
+                                "distances": [["0", "1/2"], ["1/2", "0"]]}
+
+
 def test_builtin_space_resolution():
     assert len(builtin_space("example52:2")) == 18
     assert len(builtin_space("line:5")) == 5
