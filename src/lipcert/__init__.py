@@ -17,7 +17,7 @@ from .lipschitz import (LipschitzFunction, PartialFunction, floor_round,
 from .monotone import (CmCertificate, CmViolation, brute_force_cm_oracle,
                        check_augmented, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
-from .lpcore import LinearProgram, LpResult, solve_lp
+from .lpcore import LinearProgram, LpResult, solve_lp, solve_lps
 from .functionals import (PairMeasure, apply_measure,
                           check_norm_attainment_signed, dual_norm, is_optimal,
                           measure_from_json, measure_to_json, positivize,
@@ -37,7 +37,7 @@ __all__ = [
     "mcshane_inf_extension", "mcshane_sup_extension", "slope",
     "CmCertificate", "CmViolation", "brute_force_cm_oracle",
     "check_augmented", "check_gamma_cm", "prune_to_cm", "synthesize_witness",
-    "LinearProgram", "LpResult", "solve_lp",
+    "LinearProgram", "LpResult", "solve_lp", "solve_lps",
     "PairMeasure", "apply_measure", "check_norm_attainment_signed",
     "dual_norm", "is_optimal", "measure_from_json", "measure_to_json",
     "positivize", "slice_diameter",

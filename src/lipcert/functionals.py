@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import LipschitzFunction, in_unit_ball, slope
-from .lpcore import LinearProgram, solve_lp
+from .lpcore import LinearProgram, solve_lp, solve_lps
 from .metric import (FiniteMetricSpace, Pair, PairSet, make_pair_set,
                      parse_rational, rational_str, reflect, reflect_set)
 from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
@@ -109,7 +109,7 @@ def _ball_lp(space: FiniteMetricSpace) -> tuple[LinearProgram, list[str]]:
     free = [p for p in space.points if p != space.base]
     idx = {p: i for i, p in enumerate(free)}
     lp = LinearProgram(len(free))
-    zero = [Fraction(0)] * len(free)
+    zero = [0] * len(free)
     for p, q in space.pairs():
         row = list(zero)
         if p != space.base:
@@ -291,24 +291,11 @@ def _apsp_with_slice(space: FiniteMetricSpace, atom: Pair,
     return r * space.scale, dist
 
 
-def _slice_max_slope_lp(mu: PairMeasure, alpha: Fraction, u: str, v: str
-                        ) -> tuple[Fraction, LipschitzFunction]:
-    """Max slope across (u, v) over the closed slice, via exact simplex."""
-    space = mu.space
-    lp, free = _ball_lp(space)
-    slice_row = [-c for c in _measure_objective(mu, free)]
-    lp.add_constraint(slice_row, -(1 - alpha))
-    idx = {p: i for i, p in enumerate(free)}
-    obj = [Fraction(0)] * len(free)
-    if u != space.base:
-        obj[idx[u]] += 1
-    if v != space.base:
-        obj[idx[v]] -= 1
-    lp.set_objective(obj)
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise SoundnessError(f"slice LP came back {res.status}")
-    return res.value / space.d(u, v), _point_to_function(space, free, res.point)
+def _check_alpha(alpha) -> Fraction:
+    alpha = Fraction(alpha)
+    if not 0 < alpha <= 2:
+        raise InvalidInput(f"alpha must lie in (0, 2], got {alpha}")
+    return alpha
 
 
 def slice_diameter(mu: PairMeasure, alpha: Fraction,
@@ -318,11 +305,11 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
     Requires the measure to induce a norm-one functional.  The closed
     slice is used in the optimisation; its maximum equals the supremum
     over the open slice.  Single-atom measures go through exact all-pairs
-    shortest paths; general measures solve two LPs per point pair.
+    shortest paths.  General measures maximise the slope across every
+    ordered pair (u, v) over the ball-plus-slice polytope: one LP with
+    n(n - 1) objectives, solved from one tableau by `solve_lps`.
     """
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 2:
-        raise InvalidInput(f"alpha must lie in (0, 2], got {alpha}")
+    alpha = _check_alpha(alpha)
     space = mu.space
     if dual_norm(mu).norm != 1:
         raise InvalidInput("slice diameter needs a normalized functional; "
@@ -357,9 +344,24 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
         _replay_slice_members(mu, alpha, f, g, (u, v), diam)
         return SliceDiameterResult(diam, (u, v), f, g, "shortest-path")
 
+    lp, free = _ball_lp(space)
+    lp.add_constraint([-c for c in _measure_objective(mu, free)], alpha - 1)
+    idx = {p: i for i, p in enumerate(free)}
+    objectives = []
+    for u, v in space.pairs():
+        obj = [0] * len(free)
+        if u != space.base:
+            obj[idx[u]] += 1
+        if v != space.base:
+            obj[idx[v]] -= 1
+        objectives.append(obj)
+    cache = {}
+    for (u, v), res in zip(space.pairs(), solve_lps(lp, objectives)):
+        if res.status != "optimal":
+            raise SoundnessError(f"slice LP came back {res.status}")
+        cache[(u, v)] = (res.value / space.d(u, v),
+                         _point_to_function(space, free, res.point))
     best = None
-    cache = {pair: _slice_max_slope_lp(mu, alpha, *pair)
-             for pair in space.pairs()}
     for i, u in enumerate(space.points):
         for v in space.points[i + 1:]:
             cand = cache[(u, v)][0] + cache[(v, u)][0]

@@ -1,8 +1,11 @@
 """Exact rational linear programming.
 
-Maximises a linear objective over {x : Ax <= b} with x free, via a
+Maximises linear objectives over {x : Ax <= b} with x free, via a
 two-phase tableau simplex with Bland's anti-cycling rule.  Returned optima
-satisfy every constraint exactly.
+satisfy every constraint exactly.  `solve_lps` builds one tableau for
+several objectives over the same constraints: phase 1 reads no objective,
+so it runs once, and phase 2 runs per objective on a copy of the
+post-phase-1 tableau, taking the same pivots a fresh `solve_lp` would.
 
 The tableau is fraction-free: row i holds Python ints over one positive
 denominator of its own, and every right-hand side is first multiplied by
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInput
 
-Row = list[Fraction]
+Row = list[Fraction | int]
 
 
 @dataclass
@@ -35,17 +38,20 @@ class LinearProgram:
     objective: Row = field(default_factory=list)        # maximised
 
     def add_constraint(self, coeffs: Sequence[Fraction | int], bound) -> None:
-        row = [Fraction(c) for c in coeffs]
-        if len(row) != self.num_vars:
-            raise InvalidInput("constraint length does not match num_vars")
-        self.rows.append(row)
+        self.rows.append(self._rationals(coeffs, "constraint"))
         self.rhs.append(Fraction(bound))
 
     def set_objective(self, coeffs: Sequence[Fraction | int]) -> None:
-        obj = [Fraction(c) for c in coeffs]
-        if len(obj) != self.num_vars:
-            raise InvalidInput("objective length does not match num_vars")
-        self.objective = obj
+        self.objective = self._rationals(coeffs, "objective")
+
+    def _rationals(self, coeffs, what: str) -> Row:
+        """The coefficients as exact rationals; an int or a Fraction is
+        kept as it is."""
+        row = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+               for c in coeffs]
+        if len(row) != self.num_vars:
+            raise InvalidInput(f"{what} length does not match num_vars")
+        return row
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,16 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     """Two-phase simplex on the split-variable standard form."""
     if not lp.objective:
         raise InvalidInput("objective is not set")
+    return solve_lps(lp, [lp.objective])[0]
+
+
+def solve_lps(lp: LinearProgram,
+              objectives: Sequence[Sequence[Fraction | int]]
+              ) -> list[LpResult]:
+    """`solve_lp` for each objective in turn over the constraints of `lp`,
+    with the same status, value, point and pivots, from one tableau and
+    one phase 1."""
+    objectives = [lp._rationals(obj, "objective") for obj in objectives]
     n, m = lp.num_vars, len(lp.rows)
     # Free x becomes u - v with u, v >= 0; slacks close the inequalities.
     # A row with a negative right-hand side is negated and gets an
@@ -91,24 +107,29 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         status = _simplex(rows, dens, basis, phase1, total)
         assert status == "optimal"  # phase-1 objective is bounded above by 0
         if any(rows[i][total] for i, col in enumerate(basis) if col >= ncols):
-            return LpResult("infeasible")
+            return [LpResult("infeasible")] * len(objectives)
         _drive_out_artificials(rows, dens, basis, ncols)
 
-    _, num = _integer_row(lp.objective)
-    obj = num + [-c for c in num] + [0] * (total + 1 - 2 * n)
-    status = _simplex(rows, dens, basis, obj, ncols)
-    if status == "unbounded":
-        return LpResult("unbounded")
-    x = [Fraction(0)] * (2 * n)
-    for i, col in enumerate(basis):
-        if col < 2 * n:
-            x[col] = Fraction(rows[i][total], dens[i] * scale)
-    point = tuple(x[j] - x[n + j] for j in range(n))
-    value = sum((c * p for c, p in zip(lp.objective, point)), Fraction(0))
-    return LpResult("optimal", value, point)
+    results = []
+    for objective in objectives:
+        # Phase 2 pivots in place, so each objective starts from a copy.
+        tab, tdens, tbasis = [list(r) for r in rows], list(dens), list(basis)
+        _, num = _integer_row(objective)
+        obj = num + [-c for c in num] + [0] * (total + 1 - 2 * n)
+        if _simplex(tab, tdens, tbasis, obj, ncols) == "unbounded":
+            results.append(LpResult("unbounded"))
+            continue
+        x = [Fraction(0)] * (2 * n)
+        for i, col in enumerate(tbasis):
+            if col < 2 * n:
+                x[col] = Fraction(tab[i][total], tdens[i] * scale)
+        point = tuple(x[j] - x[n + j] for j in range(n))
+        value = sum((c * p for c, p in zip(objective, point)), Fraction(0))
+        results.append(LpResult("optimal", value, point))
+    return results
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(L, [L * v for v in values]) for L the lcm of the denominators."""
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)

@@ -15,11 +15,11 @@ from .d2p import (Ld2pCertificate, LipLtpInequality, LipLtpWitness,
                   Sd2pCertificate, TwoLipLtpResult, replay_two_sided)
 from .errors import InvalidInput, SoundnessError
 from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
-                          SliceDiameterResult, apply_measure,
+                          SliceDiameterResult, _check_alpha, apply_measure,
                           measure_from_json, measure_to_json, positivize)
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
                         in_unit_ball, slope)
-from .metric import (FiniteMetricSpace, PairSet, ValidationReport,
+from .metric import (FiniteMetricSpace, Pair, PairSet, ValidationReport,
                      _literal_parser, build_example52, make_pair_set,
                      parse_rational, rational_str, space_from_json,
                      space_to_json, validate_metric)
@@ -39,6 +39,14 @@ def pairs_from_json(space: FiniteMetricSpace, raw) -> PairSet:
     if not isinstance(raw, list):
         raise InvalidInput(f"a pair set must be a list, got {raw!r}")
     return make_pair_set(space, raw)
+
+
+def _pair_from_json(space: FiniteMetricSpace, raw) -> Pair:
+    """A JSON list of two distinct labels; a string such as "ab" is not a
+    pair, though it unpacks into two labels."""
+    if not isinstance(raw, list):
+        raise InvalidInput(f"a pair must be a list, got {raw!r}")
+    return space.check_pair(raw)
 
 
 def canonical_hash(obj: Any) -> str:
@@ -277,7 +285,7 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
     _ok(all(p in space for p in subset), "subset leaves the space")
     den = form.denominator
     if body["found"]:
-        u, v = space.check_pair(body["pair"])
+        u, v = _pair_from_json(space, body["pair"])
         idx = [space.index(p) for p in subset]
         for x, y, lhs, rhs in form.rows(space.index(u), space.index(v),
                                         idx, idx):
@@ -425,11 +433,11 @@ def _replay_payload(payload: dict) -> str:
 
     if kind == "slice-diameter":
         mu = measure_from_json(space, payload["measure"])
-        alpha = parse_rational(payload["alpha"])
+        alpha = _check_alpha(parse_rational(payload["alpha"]))
         diam = parse_rational(payload["supremal_diameter"])
         f = function_from_json(space, payload["f"])
         g = function_from_json(space, payload["g"])
-        u, v = payload["pair"]
+        u, v = _pair_from_json(space, payload["pair"])
         for h in (f, g):
             _ok(in_unit_ball(h), "slice member escapes the unit ball")
             _ok(apply_measure(mu, h) >= 1 - alpha, "member misses the slice")

@@ -6,42 +6,74 @@ Feasibility and the optimum come from enumerating all candidate vertices
 generate, so the boxed polytope is empty iff the original one is.
 Unboundedness is decided separately by searching the (bounded) direction
 polytope {A d <= 0, -1 <= d_i <= 1} for a direction with c . d > 0.
+
+Each row and its bound are scaled to integers by the lcm of their
+denominators.  A candidate vertex comes from fraction-free (Bareiss)
+Gauss-Jordan elimination as integer Cramer numerators over the
+determinant, and it is tested against every row by cross-multiplying, so
+the only `Fraction`s built are the feasible vertices.
 """
+import math
 from fractions import Fraction
 from itertools import combinations
 
 BOX = Fraction(10 ** 6)
 
 
-def _solve_square(rows, rhs):
-    """Gaussian elimination; None if the system is singular."""
-    n = len(rows)
-    a = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _integer_rows(rows, rhs):
+    """[a | b] for each row a . x <= b, times the lcm of its denominators."""
+    out = []
+    for row, b in zip(rows, rhs):
+        cells = [Fraction(c) for c in row] + [Fraction(b)]
+        den = math.lcm(*(c.denominator for c in cells))
+        out.append([c.numerator * (den // c.denominator) for c in cells])
+    return out
+
+
+def _solve_square(a):
+    """Solve the n x n integer system given as augmented rows [A | b].
+
+    Fraction-free Gauss-Jordan: the pivot of step k is the leading
+    (k + 1)-minor of the row-permuted A, and each division by the previous
+    pivot is exact.  At the end every diagonal cell holds the last pivot,
+    D = ±det A, and column n holds D times x (Cramer's rule).  Returns None
+    if A is singular, else (det, nums) with det = |D| and
+    x_i = nums[i] / det.
+    """
+    n = len(a)
+    a = [list(row) for row in a]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
             return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        a[k], a[piv] = a[piv], a[k]
+        pk = a[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pk)]
+        prev = p
+    det = prev
+    nums = [row[n] for row in a]
+    if det < 0:
+        det, nums = -det, [-x for x in nums]
+    return det, nums
 
 
 def _vertices(rows, rhs, num_vars):
     out = []
-    m = len(rows)
-    for subset in combinations(range(m), num_vars):
-        point = _solve_square([rows[i] for i in subset],
-                              [rhs[i] for i in subset])
-        if point is None:
+    irows = _integer_rows(rows, rhs)
+    for subset in combinations(irows, num_vars):
+        solved = _solve_square(subset)
+        if solved is None:
             continue
-        if all(sum(c * x for c, x in zip(rows[i], point)) <= rhs[i]
-               for i in range(m)):
-            out.append(point)
+        det, nums = solved
+        if all(sum(c * x for c, x in zip(row, nums)) <= row[-1] * det
+               for row in irows):
+            out.append([Fraction(x, det) for x in nums])
     return out
 
 

@@ -368,6 +368,34 @@ def test_verify_rejects_g_replaced_by_f(files, capsys, tmp_path):
         assert _verify_code(capsys, tmp_path, payload) == 1, argv
 
 
+PATH_ABC_JSON = {"points": ["a", "b", "c"], "base": "a",
+                 "distances": [["0", "1", "2"], ["1", "0", "1"],
+                               ["2", "1", "0"]]}
+
+
+def test_verify_slice_diameter_needs_what_slice_diameter_needs(
+        files, capsys, tmp_path):
+    """alpha in (0, 2] and a pair of two distinct known labels, else an
+    `error:` line: "ab" must not unpack into the labels a and b."""
+    m = files("m.json", PATH_ABC_JSON)
+    mu = files("mu.json", {"atoms": [
+        {"from": "c", "to": "b", "weight": "1/2"},
+        {"from": "b", "to": "a", "weight": "1/2"}]})
+    code, report = run_json(capsys, ["slice-diam", "--alpha", "1/2",
+                                     "--normalize", mu, "--metric", m])
+    assert code == 0 and report["payload"]["method"] == "lp"
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    for field, value in (("alpha", "5"), ("alpha", "0"), ("alpha", "-1/2"),
+                         ("pair", "ab"), ("pair", ["a"]), ("pair", ["a", "a"]),
+                         ("pair", ["a", "z"]), ("pair", {"a": "b"})):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"payload": dict(payload,
+                                                    **{field: value})}))
+        assert main(["verify", str(path)]) == 1, (field, value)
+        assert capsys.readouterr().err.startswith("error: "), (field, value)
+
+
 def test_verify_ties_sd2p_parts_to_the_measures(files, capsys, tmp_path):
     m = files("m.json", LINE3_JSON)
     mu = files("mu.json", DESCENT_MEASURE)
@@ -484,6 +512,22 @@ def test_verify_lip_ltp_found_pair_must_hold(files, capsys, tmp_path):
     assert _verify_code(capsys, tmp_path, dict(payload, pair=["x1", "x1"])) \
         == 1
     assert _verify_code(capsys, tmp_path, dict(payload, eps="1")) == 1
+
+
+def test_verify_lip_ltp_found_pair_must_be_a_list(files, capsys, tmp_path):
+    """On one-character labels the string "02" unpacks into ("0", "2")."""
+    f = files("f.json", {"values": {"0": "0", "1": "0", "2": "0"}})
+    code, report = run_json(capsys, ["lip-ltp", "--builtin", "line:3",
+                                     "--eps", "1/2", "--subset", "0,1",
+                                     "--function", f])
+    assert code == 0
+    payload = report["payload"]
+    assert payload["pair"] == ["0", "2"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({"payload": dict(payload, pair="02")}))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: a pair must be a list")
 
 
 def test_verify_example52_reports(capsys, tmp_path):

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lipcert.errors import InvalidInput
-from lipcert.functionals import (PairMeasure, _apsp_with_slice, apply_measure,
-                                 check_norm_attainment_signed, dual_norm,
-                                 is_optimal, measure_from_json,
+from lipcert.functionals import (PairMeasure, _apsp_with_slice, _ball_lp,
+                                 _measure_objective, _point_to_function,
+                                 apply_measure, check_norm_attainment_signed,
+                                 dual_norm, is_optimal, measure_from_json,
                                  measure_to_json, positivize, slice_diameter)
 from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
+from lipcert.lpcore import solve_lp
 from lipcert.metric import FiniteMetricSpace, build_line
 from lipcert.monotone import check_gamma_cm, CmCertificate
 
@@ -281,6 +284,54 @@ def test_slice_diameter_general_measure():
     assert 0 < res.diameter <= 2
     assert apply_measure(mu, res.f) >= HALF
     assert apply_measure(mu, res.g) >= HALF
+
+
+def per_pair_slice_lp(mu, alpha):
+    """Reference for the LP route: one fresh ball-plus-slice LP per ordered
+    pair, then the same best-pair scan."""
+    space = mu.space
+    best, cache = None, {}
+    for u, v in space.pairs():
+        lp, free = _ball_lp(space)
+        lp.add_constraint([-c for c in _measure_objective(mu, free)],
+                          -(1 - alpha))
+        obj = [Fraction(0)] * len(free)
+        if u != space.base:
+            obj[free.index(u)] += 1
+        if v != space.base:
+            obj[free.index(v)] -= 1
+        lp.set_objective(obj)
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        cache[(u, v)] = (res.value / space.d(u, v),
+                         _point_to_function(space, free, res.point))
+    for i, u in enumerate(space.points):
+        for v in space.points[i + 1:]:
+            cand = cache[(u, v)][0] + cache[(v, u)][0]
+            if best is None or cand > best[0]:
+                best = (cand, u, v)
+    diam, u, v = best
+    return diam, (u, v), cache[(u, v)][1], cache[(v, u)][1]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), HALF, Fraction(1),
+                                   Fraction(3, 2), Fraction(2)])
+def test_slice_lp_route_matches_one_lp_per_pair(alpha):
+    rng = random.Random(f"slice-lp-{alpha}")
+    for _ in range(6):
+        space = random_space(rng, 6)
+        while len(space) < 4:
+            space = random_space(rng, 6)
+        nu = random_signed_measure(rng, space, max_atoms=4)
+        norm = dual_norm(nu).norm
+        if norm == 0:
+            continue
+        mu = nu.scaled(1 / norm)
+        got = slice_diameter(mu, alpha, force_lp=True)
+        diam, pair, f, g = per_pair_slice_lp(mu, alpha)
+        assert got.method == "lp"
+        assert (got.diameter, got.pair) == (diam, pair)
+        assert got.f.values == f.values and got.g.values == g.values
 
 
 def test_measure_json_roundtrip():

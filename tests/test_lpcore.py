@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lipcert import lpcore
 from lipcert.errors import InvalidInput
 from lipcert.functionals import PairMeasure, _ball_lp, _measure_objective
-from lipcert.lpcore import LinearProgram, solve_lp
+from lipcert.lpcore import LinearProgram, solve_lp, solve_lps
 from lipcert.metric import FiniteMetricSpace, validate_metric
 
 from lp_oracle import oracle_solve
@@ -92,6 +92,20 @@ def test_shape_validation():
     lp2.add_constraint([1], 1)
     with pytest.raises(InvalidInput):
         solve_lp(lp2)  # objective not set
+    with pytest.raises(InvalidInput):
+        solve_lps(lp2, [[1], [1, 0]])
+    assert solve_lps(lp2, []) == []
+
+
+def test_rows_keep_ints_and_fractions_and_parse_the_rest():
+    lp = LinearProgram(3)
+    lp.add_constraint([1, F(1, 2), "1/2"], 1)
+    assert lp.rows[0] == [1, F(1, 2), F(1, 2)]
+    assert [type(c) for c in lp.rows[0]] == [int, F, F]
+    lp.set_objective([True, 2, "-3"])
+    assert [type(c) for c in lp.objective] == [F, int, F]
+    ball, _ = _ball_lp(SPACE5)
+    assert all(type(c) is int for row in ball.rows for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +223,57 @@ def test_solve_lp_matches_oracle(case):
         assert res.value == ref[1]
         for row, b in zip(rows, rhs):
             assert sum(c * x for c, x in zip(row, res.point)) <= b
+
+
+@st.composite
+def lps_with_objectives(draw):
+    """`small_lps` constraints with zero to four objectives."""
+    n, rows, rhs, _ = draw(small_lps())
+    coeff = st.integers(-3, 3)
+    objs = [[F(draw(coeff)) for _ in range(n)]
+            for _ in range(draw(st.integers(0, 4)))]
+    return n, rows, rhs, objs
+
+
+def _traced(solve):
+    """Run `solve()` and return (result, events): one "simplex" per phase
+    run and one (row, column) per pivot."""
+    events = []
+    simplex, pivot = lpcore._simplex, lpcore._pivot
+
+    def recording_simplex(*args):
+        events.append("simplex")
+        return simplex(*args)
+
+    def recording_pivot(rows, dens, basis, r, c):
+        events.append((r, c))
+        pivot(rows, dens, basis, r, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpcore, "_simplex", recording_simplex)
+        mp.setattr(lpcore, "_pivot", recording_pivot)
+        return solve(), events
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps_with_objectives())
+def test_solve_lps_matches_a_fresh_solve_per_objective(case):
+    n, rows, rhs, objs = case
+    cons = list(zip(rows, rhs))
+    shared, events = _traced(lambda: solve_lps(_lp(n, cons, [0] * n), objs))
+    assert len(shared) == len(objs)
+    phase1, phase2 = None, []
+    for obj, got in zip(objs, shared):
+        want, seen = _traced(lambda: solve_lp(_lp(n, cons, obj)))
+        assert (got.status, got.value, got.point) == \
+            (want.status, want.value, want.point)
+        # Phase 2 is the last simplex run, unless phase 1 proved the LP
+        # infeasible; everything before it reads no objective.
+        cut = (len(seen) if want.status == "infeasible"
+               else len(seen) - seen[::-1].index("simplex") - 1)
+        assert phase1 is None or seen[:cut] == phase1
+        phase1 = seen[:cut]
+        phase2 += seen[cut:]
+    if objs:
+        # One phase 1, then each objective's phase 2 as a fresh solve takes it.
+        assert events == phase1 + phase2

@@ -1,5 +1,5 @@
 """The JSON boundary: the report encoder, the report layout and the pinned
-example52 payload."""
+example52 and slice-diameter payloads."""
 import json
 import math
 from fractions import Fraction
@@ -17,6 +17,11 @@ from lipcert.reports import canonical_hash
 # before the report encoder and the literal memo were written.
 EXAMPLE52_L1_M2_SHA256 = ("3afb6b50980dad8baf4ecf74e0dff806"
                           "20b20de57b185c2f49c94aff12e9d9d6")
+# `slice-diam --alpha 1/2 --normalize` of {(1,0): 1, (3,2): 2} on line:4: the
+# LP route with an artificial in phase 1, recorded while each ordered pair
+# still had an LP of its own.
+SLICE_LINE4_SHA256 = ("e7606d2e1a08439e9e493659d5694977"
+                      "14dfb9e16c4d4885b6a59d6a0e537e01")
 
 scalars = (st.none() | st.booleans()
            | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
@@ -91,3 +96,17 @@ def test_example52_payload_digest_is_pinned(capsys, monkeypatch):
     assert code == 0
     assert canonical_hash(json.loads(out)["payload"]) == \
         EXAMPLE52_L1_M2_SHA256
+
+
+def test_slice_lp_payload_digest_is_pinned(capsys, tmp_path):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"atoms": [
+        {"from": "1", "to": "0", "weight": "1"},
+        {"from": "3", "to": "2", "weight": "2"}]}))
+    code, out = _stdout(capsys, ["slice-diam", "--alpha", "1/2",
+                                 "--normalize", str(mu),
+                                 "--builtin", "line:4"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["method"] == "lp"
+    assert canonical_hash(payload) == SLICE_LINE4_SHA256
