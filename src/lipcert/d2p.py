@@ -25,7 +25,7 @@ from .lipschitz import LipschitzFunction, in_unit_ball, slope
 from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
                      make_pair_set)
 from .monotone import (CmViolation, check_augmented, check_gamma,
-                       check_gamma_cm, synthesize_witness)
+                       check_gamma_cm, inf_extension)
 
 MAX_SUPPORT = 16
 MAX_LOG_ENTRIES = 10000
@@ -123,15 +123,17 @@ def _two_sided(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
                u: str, v: str) -> tuple[Optional[str], Any]:
     """Decide A + (u, v) ("forward"), then A + (v, u) ("backward").
     Returns (side, violation) at the first side that is not gamma-CM, else
-    (None, (f, g)): f from the backward certificate, g from the forward."""
+    (None, (f, g)): f the inf-extension of the backward certificate, g of
+    the forward one.  They are not checked here: every caller that emits
+    them runs `replay_two_sided` first, whose unit-ball and slope gates
+    are the ones `synthesize_witness` would apply."""
     fwd = check_augmented(space, pairs, gamma, u, v)
     if isinstance(fwd, CmViolation):
         return "forward", fwd
     bwd = check_augmented(space, pairs, gamma, v, u)
     if isinstance(bwd, CmViolation):
         return "backward", bwd
-    return None, (synthesize_witness(space, bwd.pairs, gamma, bwd),
-                  synthesize_witness(space, fwd.pairs, gamma, fwd))
+    return None, (inf_extension(space, bwd), inf_extension(space, fwd))
 
 
 def replay_two_sided(pairs: PairSet, gamma: Fraction, u: str, v: str,

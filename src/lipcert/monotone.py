@@ -12,6 +12,18 @@ Bellman-Ford relaxation from a virtual zero source; the outputs are
 machine-replayable certificates (potentials) or violations (a simple
 cycle with negative beta-sum).
 
+beta_ij depends on pair j only through its landing point y_j, so the
+system factors through the k <= m distinct landing points: the kernel
+runs on the landing-point quotient of the pair graph (k nodes, built in
+O(m * k)), and the certificate replay and the witness both evaluate
+F(p) = min over landing points q of (A_q + d(p, q)), A_q the least
+potential landing at q.  This is the reduction of c-cyclical
+monotonicity to potentials on points (Rockafellar, Convex Analysis,
+section 24).  It uses neither symmetry nor the triangle inequality;
+where some beta_ii is not 0 (a nonzero diagonal) the pair graph itself
+is searched.  Certificates and violations are exactly the ones the
+complete pair graph gives.
+
 The kernels run on integers: with gamma = g / h and the space compiled to
 D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
 certificate replay and witness synthesis work on the scale h * L (or a
@@ -46,23 +58,26 @@ def beta(space: FiniteMetricSpace, pi: Pair, pj: Pair, gamma: Fraction) -> Fract
     return min(space.d(xi, yj) - gamma * space.d(xi, yi), space.d(yi, yj))
 
 
-def _scaled_beta(space: FiniteMetricSpace, pairs: PairSet,
-                 gamma: Fraction) -> tuple[int, list[list[int]]]:
-    """(h * L, W) with W[i][j] = h * L * beta_ij for gamma = g / h.
+def _landing_inf(D, ends: list[tuple[int, int]], a: list[int], s: int,
+                 points) -> dict[int, int]:
+    """{p: F(p)} for the point indices p in `points`, where
 
-    W_ij = min(h * D[x_i][y_j] - g * D[x_i][y_i], h * D[y_i][y_j]).
+        F(p) = min over landing points q of (A_q + s * D[p][q])
+
+    and A_q is the least a_i over the pairs (x_i, y_i) = ends[i] with
+    y_i = q.  F(p) is min_j (a_j + s * D[p][y_j]) regrouped by landing
+    point: the inf-extension of y_i -> a_i on the scale of `a`.
     """
-    gamma = Fraction(gamma)
-    g, h = gamma.numerator, gamma.denominator
-    D = space.int_dist
-    ends = [(space.index(x), space.index(y)) for x, y in pairs]
-    ys = [y for _, y in ends]
-    w = []
-    for x, y in ends:
-        Dx, Dy = D[x], D[y]
-        t = g * Dx[y]
-        w.append([min(h * Dx[yj] - t, h * Dy[yj]) for yj in ys])
-    return h * space.scale, w
+    least: dict[int, int] = {}
+    for (_, y), ai in zip(ends, a):
+        if y not in least or ai < least[y]:
+            least[y] = ai
+    items = list(least.items())
+    out = {}
+    for p in points:
+        Dp = D[p]
+        out[p] = min([aq + s * Dp[q] for q, aq in items])
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,19 +91,36 @@ class CmCertificate:
         """Check a_i <= a_j + beta_ij for all i, j on integers.
 
         Over K = lcm(h * L, denominators of a) every potential is an
-        integer, and the inequality reads K a_i <= K a_j + (K / hL) W_ij.
+        integer, and with s = K / (h L) the inequalities read
+        K a_i <= K a_j + s * min(h D[x_i][y_j] - g D[x_i][y_i],
+        h D[y_i][y_j]).  For each i they are regrouped exactly into two:
+
+            K a_i <= F(x_i) - s * g * D[x_i][y_i]   and   K a_i <= F(y_i),
+
+        with F(p) = min over landing points q of (A_q + s * h * D[p][q])
+        and A_q the least K a_j over the pairs landing at q.  F is needed
+        at the endpoints only, so the replay costs O(#endpoints * k + m)
+        for k landing points instead of O(m^2).  At the first failing i
+        the failing j is found by scanning row i.
         """
         if len(self.potentials) != len(self.pairs):
             raise SoundnessError("potential count does not match pair count")
-        hl, w = _scaled_beta(space, self.pairs, self.gamma)
+        g, h = self.gamma.numerator, self.gamma.denominator
+        hl = h * space.scale
         K, a = _common_scale(hl, self.potentials)
         s = K // hl
-        for i, row in enumerate(w):
-            ai = a[i]
-            for j, aj in enumerate(a):
-                if ai > aj + s * row[j]:
-                    raise SoundnessError(
-                        f"potential inequality fails at ({i}, {j})")
+        sg = s * g
+        D = space.int_dist
+        ends = [(space.index(x), space.index(y)) for x, y in self.pairs]
+        F = _landing_inf(D, ends, a, s * h,
+                         {p for pair in ends for p in pair})
+        for i, ((x, y), ai) in enumerate(zip(ends, a)):
+            if ai > F[x] - sg * D[x][y] or ai > F[y]:
+                Dx, Dy, t = D[x], D[y], g * D[x][y]
+                j = next(j for j, ((_, yj), aj) in enumerate(zip(ends, a))
+                         if ai > aj + s * min(h * Dx[yj] - t, h * Dy[yj]))
+                raise SoundnessError(
+                    f"potential inequality fails at ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -120,30 +152,36 @@ def cycle_sum(space: FiniteMetricSpace, pairs: PairSet,
     return total
 
 
-def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
-                   gamma: Fraction) -> CmResult:
-    """Decide gamma-CM; return replayable potentials or a negative cycle.
+def _has_cycle(pred: list[Optional[int]]) -> bool:
+    """Whether the predecessor graph closes a cycle (O(len(pred)))."""
+    state = [0] * len(pred)  # 0 unseen, 1 on the current walk, 2 done
+    for v in range(len(pred)):
+        walk = []
+        node: Optional[int] = v
+        while node is not None and state[node] == 0:
+            state[node] = 1
+            walk.append(node)
+            node = pred[node]
+        if node is not None and state[node] == 1:
+            return True
+        for u in walk:
+            state[u] = 2
+    return False
 
-    Bellman-Ford runs on the integer weights W = h * L * beta; the
-    potentials it returns are dist_i / (h * L).
-    """
-    gamma = check_gamma(gamma)
-    pairs = make_pair_set(space, pairs)
-    m = len(pairs)
-    if m == 0:
-        return CmCertificate(pairs, gamma, ())
 
-    hl, w = _scaled_beta(space, pairs, gamma)
-    # cols[j][i] is the weight of edge j -> i; the zero diagonal makes the
-    # i == j relaxation a no-op.
-    cols = [list(col) for col in zip(*w)]
-    for j in range(m):
-        cols[j][j] = 0
+def _bellman_ford(cols: list[list[int]], stop_at_cycle: bool
+                  ) -> tuple[Optional[list[int]], Optional[list[int]]]:
+    """Bellman-Ford from a virtual zero source; cols[j][i] is the weight of
+    edge j -> i.  Returns (dist, None) once a round changes nothing, else
+    (None, cycle): the predecessor cycle after len(cols) rounds, or None
+    when `stop_at_cycle` ends the loop at the first round whose
+    predecessor graph closes a cycle (always a negative one)."""
+    n = len(cols)
     # Virtual source with zero-weight edges to every node: dist starts at 0.
-    dist = [0] * m
-    pred: list[Optional[int]] = [None] * m
+    dist = [0] * n
+    pred: list[Optional[int]] = [None] * n
     bad = None
-    for round_ in range(m):
+    for _ in range(n):
         changed = False
         for j, col in enumerate(cols):
             dj = dist[j]
@@ -154,22 +192,95 @@ def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
                     changed = True
                     bad = i
         if not changed:
-            cert = CmCertificate(pairs, gamma,
-                                 tuple(Fraction(x, hl) for x in dist))
-            cert.replay(space)
-            return cert
-    # A relaxation survived m rounds: walk predecessors into the cycle.
+            return dist, None
+        if stop_at_cycle and _has_cycle(pred):
+            break
+    if stop_at_cycle:
+        return None, None
+    # A relaxation survived n rounds: walk predecessors into the cycle.
     assert bad is not None
     node = bad
-    for _ in range(m):
+    for _ in range(n):
         node = pred[node]  # type: ignore[assignment]
     cycle = [node]
     cur = pred[node]
     while cur != node:
         cycle.append(cur)  # type: ignore[arg-type]
         cur = pred[cur]    # type: ignore[index]
-    k = len(cycle)
-    total = sum(w[cycle[t]][cycle[(t + 1) % k]] for t in range(k))
+    return None, cycle
+
+
+def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
+                   gamma: Fraction) -> CmResult:
+    """Decide gamma-CM; return replayable potentials or a negative cycle.
+
+    The weights are the integers W_ij = h * L * beta_ij for gamma = g / h,
+    and the potentials are shortest distances / (h * L) from a virtual
+    zero source.  W_ij depends on pair j only through its landing point
+    y_j, so Bellman-Ford first runs on the landing-point quotient of the
+    pair graph: one node per distinct y_i (in order of first appearance)
+    and an edge s -> t of the least weight W_it over the pairs i landing
+    at t, built in O(m * k) for k landing points.  When every pair has
+    W_ii = 0 (a zero diagonal and nonnegative d(x_i, y_i) suffice) the
+    pairs landing at one point share one distance, so pair i's potential
+    is the quotient distance of y_i; no symmetry or triangle inequality
+    is used, and the potentials are exactly the pair graph's.
+
+    When all landing points differ (k = m), or some W_ii is not 0, the
+    pair graph itself is searched.  When k < m and the quotient's
+    predecessor graph closes a cycle, the m-round pair-graph walk runs to
+    return the same negative pair cycle as the complete pair graph.
+    Either result is replayed before it is returned.
+    """
+    gamma = check_gamma(gamma)
+    pairs = make_pair_set(space, pairs)
+    m = len(pairs)
+    if m == 0:
+        return CmCertificate(pairs, gamma, ())
+
+    g, h = gamma.numerator, gamma.denominator
+    hl = h * space.scale
+    D = space.int_dist
+    ends = [(space.index(x), space.index(y)) for x, y in pairs]
+    lands: dict[int, int] = {}
+    for _, y in ends:
+        lands.setdefault(y, len(lands))
+    at = [lands[y] for _, y in ends]
+    # rows[i][t] = W_ij for every pair j landing at the t-th landing point.
+    rows = []
+    for x, y in ends:
+        Dx, Dy = D[x], D[y]
+        t = g * Dx[y]
+        rows.append([min(h * Dx[q] - t, h * Dy[q]) for q in lands])
+    k = len(lands)
+    potentials = None
+    if k < m and all(row[t] == 0 for row, t in zip(rows, at)):
+        members: list[list[list[int]]] = [[] for _ in range(k)]
+        for row, t in zip(rows, at):
+            members[t].append(row)
+        # Edge s -> t weighs the least W_i(s) over the pairs i landing at t.
+        qcols = [list(col) for col in
+                 zip(*([min(c) for c in zip(*rs)] for rs in members))]
+        qdist, _ = _bellman_ford(qcols, stop_at_cycle=True)
+        if qdist is not None:
+            per_land = [Fraction(x, hl) for x in qdist]
+            potentials = tuple(per_land[t] for t in at)
+    if potentials is None:
+        by_land = list(zip(*rows))
+        cols = [list(by_land[t]) for t in at]
+        # The zero diagonal makes the i == j relaxation a no-op.
+        for j in range(m):
+            cols[j][j] = 0
+        dist, cycle = _bellman_ford(cols, stop_at_cycle=False)
+        if dist is not None:
+            potentials = tuple(Fraction(x, hl) for x in dist)
+    if potentials is not None:
+        cert = CmCertificate(pairs, gamma, potentials)
+        cert.replay(space)
+        return cert
+    assert cycle is not None
+    n = len(cycle)
+    total = sum(rows[cycle[t]][at[cycle[(t + 1) % n]]] for t in range(n))
     violation = CmViolation(pairs, gamma, tuple(cycle), Fraction(total, hl))
     violation.replay(space)
     return violation
@@ -198,6 +309,39 @@ def brute_force_cm_oracle(space: FiniteMetricSpace, pairs: PairSet,
     return True
 
 
+def _inf_extension(space: FiniteMetricSpace, pairs: PairSet,
+                   potentials) -> tuple[int, list[int]]:
+    """(K, F): K = lcm(L, potential denominators) and, for each point p,
+    F_p = K * (min_i (alpha_i + d(p, y_i)) - the same at the base)."""
+    K, a = _common_scale(space.scale, potentials)
+    ends = [(space.index(x), space.index(y)) for x, y in pairs]
+    vals = list(_landing_inf(space.int_dist, ends, a, K // space.scale,
+                             range(len(space))).values())
+    shift = vals[space.index(space.base)]
+    return K, [v - shift for v in vals]
+
+
+def _function(space: FiniteMetricSpace, K: int, vals: list[int]
+              ) -> LipschitzFunction:
+    return LipschitzFunction(space, {p: Fraction(v, K)
+                                     for p, v in zip(space.points, vals)})
+
+
+def inf_extension(space: FiniteMetricSpace,
+                  cert: CmCertificate) -> LipschitzFunction:
+    """The inf-extension of y_i -> alpha_i over the certificate's pairs,
+    shifted to vanish at the base point, with no check of its own.
+
+    On potentials that pass `CmCertificate.replay` it is 1-Lipschitz
+    with slope >= gamma across every pair; a caller that does not check
+    that itself must call `synthesize_witness` instead.
+    """
+    if not cert.pairs:
+        return LipschitzFunction(space, {p: 0 for p in space.points})
+    return _function(space, *_inf_extension(space, cert.pairs,
+                                            cert.potentials))
+
+
 def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
                        gamma: Fraction, cert: CmCertificate) -> LipschitzFunction:
     """Unit-ball function with difference quotient >= gamma across `pairs`.
@@ -216,20 +360,10 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
     if len(cert.potentials) != len(pairs):
         raise SoundnessError("potential count does not match pair count")
     if not pairs:
-        return LipschitzFunction(space, {p: 0 for p in space.points})
-    # Later alpha_i for the same y_i must agree up to beta_ii' bounds; the
-    # inf over atoms handles repeats, so keep the min per landing point.
+        return inf_extension(space, cert)
     # Everything runs on the scale K = lcm(L, potential denominators).
+    K, vals = _inf_extension(space, pairs, cert.potentials)
     D = space.int_dist
-    K, a = _common_scale(space.scale, cert.potentials)
-    s = K // space.scale
-    atoms: dict[int, int] = {}
-    for (x, y), ai in zip(pairs, a):
-        iy = space.index(y)
-        atoms[iy] = min(atoms.get(iy, ai), ai)
-    vals = [min(ai + s * row[iy] for iy, ai in atoms.items()) for row in D]
-    shift = vals[space.index(space.base)]
-    vals = [v - shift for v in vals]
     # slope(f, (x, y)) >= g / h  iff  h * L * (F_x - F_y) >= g * K * D_xy.
     g, h = gamma.numerator, gamma.denominator
     hl, gk = h * space.scale, g * K
@@ -237,8 +371,7 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
         ix, iy = space.index(pair[0]), space.index(pair[1])
         if hl * (vals[ix] - vals[iy]) < gk * D[ix][iy]:
             raise SoundnessError(f"witness slope below gamma across {pair}")
-    f = LipschitzFunction(space, {p: Fraction(v, K)
-                                  for p, v in zip(space.points, vals)})
+    f = _function(space, K, vals)
     if not in_unit_ball(f):
         raise SoundnessError("witness escapes the unit ball")
     return f

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipcert import d2p
 from lipcert.cli import EXAMPLE52_EPS, EXAMPLE52_N, example52_function
 from lipcert.d2p import (Ld2pCertificate, LipLtpViolation, LipLtpWitness,
                          ld2p_certificate, lip_ltp_witness, replay_two_sided,
@@ -205,6 +207,39 @@ def test_ld2p_unit_atom_on_example52():
     assert cert.pair_set == (("x1", "y1"),)
     # Easier at smaller gamma as well.
     assert ld2p_certificate(mu, Fraction(1, 10)).certificate is not None
+
+
+def _raised_by_one_unit(extension):
+    """`extension` with its value raised by 1/K at the first point that is
+    neither the base nor a landing point, K = lcm(L, value denominators).
+    The inf-extension is tight there (f(p) - f(q) = d(p, q) at the landing
+    point q that attains the min), so the result leaves the unit ball."""
+    def broken(space, cert):
+        f = extension(space, cert)
+        lands = {y for _, y in cert.pairs}
+        p = next(p for p in space.points
+                 if p != space.base and p not in lands)
+        K = math.lcm(space.scale, *(v.denominator for v in f.values.values()))
+        return LipschitzFunction(space, {**f.values,
+                                         p: f.values[p] + Fraction(1, K)})
+    return broken
+
+
+def test_searches_refuse_a_witness_off_by_one_unit(monkeypatch):
+    """The two-sided step takes its witnesses unchecked; every search must
+    still refuse a wrong one before it returns."""
+    space = build_example52(1)
+    mu = PairMeasure(space, {("x1", "y1"): 1})
+    assert ld2p_certificate(mu, HALF).certificate is not None
+    assert two_lip_ltp_witness(space, (("x1", "y1"),), HALF).found
+    monkeypatch.setattr(d2p, "inf_extension",
+                        _raised_by_one_unit(d2p.inf_extension))
+    with pytest.raises(SoundnessError):
+        ld2p_certificate(mu, HALF)
+    with pytest.raises(SoundnessError):
+        sd2p_certificate([mu], HALF)
+    with pytest.raises(SoundnessError):
+        two_lip_ltp_witness(space, (("x1", "y1"),), HALF)
 
 
 def test_ld2p_rejects_non_optimal_input():

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure
 from lipcert.lipschitz import lip_norm, slope
-from lipcert.metric import build_example52, build_line
+from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 from lipcert.monotone import (CmCertificate, CmViolation, beta,
                               brute_force_cm_oracle, check_augmented,
                               check_gamma_cm, cycle_sum, prune_to_cm,
@@ -79,6 +81,149 @@ def test_subset_closure(rng):
         for k in range(len(pairs)):
             sub = pairs[:k] + pairs[k + 1:]
             assert isinstance(check_gamma_cm(space, sub, HALF), CmCertificate)
+
+
+# ---------------------------------------------------------------------------
+# The landing-point quotient against the complete pair graph
+
+def reference_check_gamma_cm(space, pairs, gamma):
+    """`check_gamma_cm` as it ran before the landing-point quotient:
+    Bellman-Ford on the complete graph of the m pairs, m^2 weights and up
+    to m rounds, then the predecessor walk (without the self-replay)."""
+    pairs = tuple(pairs)
+    m = len(pairs)
+    if m == 0:
+        return CmCertificate(pairs, gamma, ())
+    g, h = gamma.numerator, gamma.denominator
+    hl = h * space.scale
+    D = space.int_dist
+    ends = [(space.index(x), space.index(y)) for x, y in pairs]
+    ys = [y for _, y in ends]
+    w = []
+    for x, y in ends:
+        Dx, Dy = D[x], D[y]
+        t = g * Dx[y]
+        w.append([min(h * Dx[yj] - t, h * Dy[yj]) for yj in ys])
+    cols = [list(col) for col in zip(*w)]
+    for j in range(m):
+        cols[j][j] = 0
+    dist = [0] * m
+    pred: list[Optional[int]] = [None] * m
+    bad = None
+    for _ in range(m):
+        changed = False
+        for j, col in enumerate(cols):
+            dj = dist[j]
+            for i, c in enumerate(col):
+                if dj + c < dist[i]:
+                    dist[i] = dj + c
+                    pred[i] = j
+                    changed = True
+                    bad = i
+        if not changed:
+            return CmCertificate(pairs, gamma,
+                                 tuple(Fraction(x, hl) for x in dist))
+    node = bad
+    for _ in range(m):
+        node = pred[node]
+    cycle = [node]
+    cur = pred[node]
+    while cur != node:
+        cycle.append(cur)
+        cur = pred[cur]
+    k = len(cycle)
+    total = sum(w[cycle[t]][cycle[(t + 1) % k]] for t in range(k))
+    return CmViolation(pairs, gamma, tuple(cycle), Fraction(total, hl))
+
+
+def _matrix_space(rng, kind):
+    """A metric space ("metric"), an asymmetric matrix that also breaks
+    the triangle inequality ("quasi"), or such a matrix with a positive
+    diagonal ("diagonal"), where some W_ii may be positive; at least
+    three points, and off-diagonal distances stay positive."""
+    if kind == "metric":
+        while True:
+            space = random_space(rng, 7, denom=rng.randint(1, 5))
+            if len(space) >= 3:
+                return space
+    n = rng.randint(3, 7)
+    dist = [[Fraction(rng.randint(1, 18), rng.randint(1, 6)) if i != j
+             else Fraction(0) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        for i in range(n):
+            if rng.random() < 0.5:
+                dist[i][i] = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    return FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", dist)
+
+
+def _shaped_pairs(rng, space, shape):
+    """Pairs whose landing points repeat ("repeated": k < m), all differ
+    ("distinct": k = m), or are all one point ("single": k = 1)."""
+    pts = space.points
+    if shape == "single":
+        y = rng.choice(pts)
+        xs = [p for p in pts if p != y]
+        return tuple((x, y) for x in rng.sample(xs, rng.randint(1, len(xs))))
+    if shape == "distinct":
+        ys = rng.sample(pts, rng.randint(1, len(pts)))
+        return tuple((rng.choice([p for p in pts if p != y]), y) for y in ys)
+    # Two pairs into one point, then more pairs anywhere; n >= 3 here.
+    y = rng.choice(pts)
+    pairs = [(x, y) for x in rng.sample([p for p in pts if p != y], 2)]
+    pool = list(space.pairs())
+    return tuple(dict.fromkeys(
+        pairs + rng.sample(pool, rng.randint(0, min(7, len(pool))))))
+
+
+@st.composite
+def cm_instances(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    space = _matrix_space(
+        rng, draw(st.sampled_from(["metric", "quasi", "diagonal"])))
+    pairs = _shaped_pairs(
+        rng, space, draw(st.sampled_from(["repeated", "distinct", "single"])))
+    return space, pairs, Fraction(draw(st.integers(1, 6)), 6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cm_instances())
+def test_quotient_kernel_matches_the_pair_graph(case):
+    space, pairs, gamma = case
+    assert check_gamma_cm(space, pairs, gamma) == \
+        reference_check_gamma_cm(space, pairs, gamma)
+
+
+def all_pairs_replay_accepts(space, pairs, gamma, potentials):
+    """a_i <= a_j + beta_ij for every i, j, in `Fraction` (O(m^2))."""
+    return all(ai <= aj + beta(space, pi, pj, gamma)
+               for pi, ai in zip(pairs, potentials)
+               for pj, aj in zip(pairs, potentials))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cm_instances(), st.integers(0, 2 ** 32 - 1))
+def test_regrouped_replay_matches_the_all_pairs_check(case, seed):
+    """On the potentials of the kernel (zeros for a violated set) and on
+    potentials nudged by +-1/K at one pair, K = lcm(h L, denominators),
+    the replay accepts exactly when every pair inequality holds."""
+    space, pairs, gamma = case
+    rng = random.Random(seed)
+    result = check_gamma_cm(space, pairs, gamma)
+    start = (result.potentials if isinstance(result, CmCertificate)
+             else (Fraction(0),) * len(pairs))
+    K = math.lcm(gamma.denominator * space.scale,
+                 *(a.denominator for a in start))
+    i = rng.randrange(len(pairs))
+    for nudge in (0, Fraction(1, K), -Fraction(1, K)):
+        potentials = start[:i] + (start[i] + nudge,) + start[i + 1:]
+        cert = CmCertificate(pairs, gamma, potentials)
+        try:
+            cert.replay(space)
+            accepted = True
+        except SoundnessError:
+            accepted = False
+        assert accepted == all_pairs_replay_accepts(space, pairs, gamma,
+                                                    potentials)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,26 @@ EXAMPLE52_L1_M2_SHA256 = ("3afb6b50980dad8baf4ecf74e0dff806"
 # still had an LP of its own.
 SLICE_LINE4_SHA256 = ("e7606d2e1a08439e9e493659d5694977"
                       "14dfb9e16c4d4885b6a59d6a0e537e01")
+# Pair sets on example52:1 whose eight pairs land on six points, and a
+# 1-CM set of four pairs landing on three points whose 2-Lip-LTP search at
+# eps = 1/10 fails for all 132 candidates; recorded while check_gamma_cm
+# still ran Bellman-Ford on the complete graph of the pairs.
+CM_CERTIFIED_PAIRS = [
+    ["v2_1", "u2_1"], ["x3", "u3_1"], ["y2", "u3_1"], ["u2_1", "v3_1"],
+    ["y2", "v2_1"], ["u1_1", "v1_1"], ["x3", "u1_1"], ["x1", "v1_1"]]
+CM_VIOLATED_PAIRS = [
+    ["v3_1", "x1"], ["x3", "u2_1"], ["x1", "v1_1"], ["v1_1", "x3"],
+    ["u2_1", "v3_1"], ["v1_1", "v3_1"], ["v2_1", "u2_1"], ["y2", "y3"]]
+TWO_LIP_LTP_ABSENT_PAIRS = [
+    ["y1", "x1"], ["u3_1", "x1"], ["y1", "x2"], ["v1_1", "v2_1"]]
+CM_PAYLOAD_SHA256 = {
+    "certified": ("bd45ed0588f2d7ef3ce6ba6bc2dbca5f"
+                  "2ac68231c5e3836feaf927004c6b7566"),
+    "violated": ("bada3bd95ef505d315e6aa37e5c6d19f"
+                 "619742fb111a046d184467bcb6fa76e5"),
+    "two-lip-ltp": ("c77677ad2d1235de7b3979d83c81c47f"
+                    "d81bbd70291afec1447bdb5fd5f3bd4b"),
+}
 
 scalars = (st.none() | st.booleans()
            | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
@@ -110,3 +130,21 @@ def test_slice_lp_payload_digest_is_pinned(capsys, tmp_path):
     payload = json.loads(out)["payload"]
     assert payload["method"] == "lp"
     assert canonical_hash(payload) == SLICE_LINE4_SHA256
+
+
+@pytest.mark.parametrize("name, pairs, argv, want", [
+    ("certified", CM_CERTIFIED_PAIRS, ["check-cm", "--gamma", "1/2"], 0),
+    ("violated", CM_VIOLATED_PAIRS, ["check-cm", "--gamma", "1/2"], 2),
+    ("two-lip-ltp", TWO_LIP_LTP_ABSENT_PAIRS,
+     ["two-lip-ltp", "--eps", "1/10"], 2),
+])
+def test_cm_payload_digests_are_pinned(capsys, tmp_path, name, pairs, argv,
+                                       want):
+    assert len({y for _, y in pairs}) < len(pairs)
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": pairs}))
+    code, out = _stdout(capsys, argv + ["--pairs", str(path),
+                                        "--builtin", "example52:1"])
+    assert code == want
+    assert canonical_hash(json.loads(out)["payload"]) == \
+        CM_PAYLOAD_SHA256[name]
