@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
@@ -102,6 +103,13 @@ class _IndentEncoder(json.JSONEncoder):
     other scalar to the C one-shot encoder (`json` alone falls back to pure
     Python for an indent).  Dict keys must be ``str``; a value that is not
     a dict, list, tuple, str, int, float, bool or None raises `TypeError`.
+
+    A list of same-keyed rows, such as the violation table of a Lip-LTP
+    refutation, is written from one ``%``-template, keys escaped: while
+    the rows are dicts with the first row's keys in the first row's order
+    whose values are each a ``str`` or a non-empty list of ``str``, each
+    row is one ``template % values``.  The first row that is not so, and
+    every row after it, takes the generic walk.
     """
 
     def encode(self, o) -> str:
@@ -110,6 +118,38 @@ class _IndentEncoder(json.JSONEncoder):
             None, self.default, quote, None, ": ", ",", False, False, True)
         chunks: list[str] = []
         write = chunks.append
+
+        def rows(o, nl: str) -> list[str]:
+            """The leading same-keyed rows of `o`, a list whose first item
+            is a non-empty dict and whose items sit at indent `nl`.  The
+            first row fixes which values are strings and which lists."""
+            first = o[0]
+            keys = list(first)
+            kinds = [(k, type(first[k]) is str) for k in keys]
+            inner = nl + "  "
+            deeper = inner + "  "
+            item_sep = "," + deeper
+            template = "{" + inner + ("," + inner).join(
+                [quote(k).replace("%", "%%") + ": %s" for k in keys]
+            ) + nl + "}"
+
+            def strings(v) -> str:
+                if type(v) is not list or not v:
+                    raise TypeError("not a non-empty list")
+                return ("[" + deeper + item_sep.join(map(quote, v)) + inner
+                        + "]")
+
+            done = []
+            for row in o:
+                if not isinstance(row, dict) or list(row) != keys:
+                    break
+                try:
+                    values = tuple([quote(row[k]) if is_str
+                                    else strings(row[k]) for k, is_str in kinds])
+                except TypeError:
+                    break
+                done.append(template % values)
+            return done
 
         def walk(o, nl: str) -> None:
             if isinstance(o, str):
@@ -120,8 +160,11 @@ class _IndentEncoder(json.JSONEncoder):
                 try:  # a list of strings, such as a distance row
                     write("[" + inner + sep.join(map(quote, o)) + nl + "]")
                 except TypeError:
-                    lead = "[" + inner
-                    for x in o:
+                    head = (rows(o, inner) if isinstance(o[0], dict) and o[0]
+                            else [])
+                    write("[" + inner + sep.join(head))
+                    lead = sep if head else ""
+                    for x in islice(o, len(head), None):
                         write(lead)
                         walk(x, inner)
                         lead = sep

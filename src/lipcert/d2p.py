@@ -9,15 +9,17 @@ The Lip-LTP inequality (1 - eps)(|f(x) - f(y)| + d(u, v)) > d(x, u) +
 d(y, v) is compiled once onto integers by `LipLtpInequality`: with
 D = L * d the space's matrix, F = K * f over K = lcm(L, the value
 denominators), s = K / L and 1 - eps = c / b, both sides times b * K are
-c * (|F_x - F_y| + s * D_uv) and b * s * (D_xu + D_yv).  The search and
-the `verify` replay of `lip-ltp` reports both evaluate this one form.
+c * (|F_x - F_y| + s * D_uv) and b * s * (D_xu + D_yv).  The search, the
+`verify` replay of a found pair (`failing`) and the replay of each logged
+row (`sides`) all evaluate this one form; `Fraction` appears only when a
+refutation table is logged, once per distinct side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Optional, Sequence, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, SoundnessError
 from .functionals import PairMeasure
@@ -34,8 +36,7 @@ MAX_LOG_ENTRIES = 10000
 # ---------------------------------------------------------------------------
 # Lip-LTP (one function, a finite point set)
 
-@dataclass(frozen=True)
-class LipLtpViolation:
+class LipLtpViolation(NamedTuple):
     candidate: Pair
     x: str
     y: str
@@ -60,29 +61,44 @@ class LipLtpInequality:
     K = lcm(L, value denominators), D = L * d and s = K / L.  Nothing is
     rounded: lhs / (b K) and rhs / (b K) are exactly the two rational
     sides.  D_xu and D_yv are read as written, not by symmetry.
+
+    `subset` (point indices) fixes the rows that `failing` scans.  It
+    precomputes c * |F_x - F_y| for x, y in the subset and, for every
+    point w, the column b * s * D_xw over x in the subset, which serves
+    D_xu and D_yv alike.
     """
 
     def __init__(self, space: FiniteMetricSpace, eps: Fraction,
-                 f: LipschitzFunction):
+                 f: LipschitzFunction, subset: Sequence[int]):
         if not 0 < eps < 1:
             raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-        K, self._F = _common_scale(space.scale,
-                                   [f.values[p] for p in space.points])
+        K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
         s = K // space.scale
         b = eps.denominator
         c = b - eps.numerator
+        D = space.int_dist
+        self._F, self._D = F, D
         self._c, self._cs, self._bs = c, c * s, b * s
-        self._D = space.int_dist
         self.denominator = b * K
+        self._subset = subset = tuple(subset)
+        self._gap = [[c * abs(F[x] - F[y]) for y in subset] for x in subset]
+        self._col = [[self._bs * D[x][w] for x in subset]
+                     for w in range(len(D))]
 
-    def rows(self, u: int, v: int, xs: Sequence[int], ys: Sequence[int]
-             ) -> list[tuple[int, int, int, int]]:
-        """(x, y, lhs, rhs) for candidate (u, v) and every x in xs, y in ys,
-        x-major; all arguments are point indices."""
-        D, F, c, bs = self._D, self._F, self._c, self._bs
-        t = self._cs * D[u][v]
-        return [(x, y, c * abs(F[x] - F[y]) + t, bs * (D[x][u] + D[y][v]))
-                for x in xs for y in ys]
+    def sides(self, u: int, v: int, x: int, y: int) -> tuple[int, int]:
+        """(lhs, rhs) of row (x, y) of candidate (u, v), point indices."""
+        D, F = self._D, self._F
+        return (self._c * abs(F[x] - F[y]) + self._cs * D[u][v],
+                self._bs * (D[x][u] + D[y][v]))
+
+    def failing(self, u: int, v: int) -> list[tuple[int, int, int, int]]:
+        """(x, y, lhs, rhs) of every row of candidate (u, v) over the
+        subset with lhs > rhs, x-major in subset order."""
+        t = self._cs * self._D[u][v]
+        sub = self._subset
+        return [(x, y, g + t, a + e)
+                for x, a, gaps in zip(sub, self._col[u], self._gap)
+                for y, e, g in zip(sub, self._col[v], gaps) if g + t > a + e]
 
 
 def lip_ltp_witness(space: FiniteMetricSpace, subset: Sequence[str],
@@ -90,30 +106,32 @@ def lip_ltp_witness(space: FiniteMetricSpace, subset: Sequence[str],
     """Scan all ordered (u, v) for one compatible with f on the subset.
 
     Returns the first working pair in declaration order, or ABSENT with
-    every violating (x, y) for every candidate.  Each row is decided by
-    `LipLtpInequality` on integers; only the logged rows become
-    `Fraction`s, lhs / (b K) and rhs / (b K).
+    every violating (x, y) for every candidate.  Each candidate's failing
+    rows come from `LipLtpInequality.failing` on integers; when the table
+    is logged, each distinct side becomes one `Fraction`, lhs / (b K) or
+    rhs / (b K), shared by every row that holds it.
     """
-    form = LipLtpInequality(space, Fraction(eps), f)
+    pts = space.points
+    form = LipLtpInequality(space, Fraction(eps), f,
+                            [i for i, p in enumerate(pts) if p in subset])
     if not in_unit_ball(f):
         raise InvalidInput("function is outside the unit ball")
     for p in subset:
         space.index(p)
-    members = set(subset)
-    pts = space.points
-    idx = [i for i, p in enumerate(pts) if p in members]
+    tables: list[tuple[Pair, list[tuple[int, int, int, int]]]] = []
+    for u, pu in enumerate(pts):
+        for v, pv in enumerate(pts):
+            if u != v:
+                bad = form.failing(u, v)
+                if not bad:
+                    return LipLtpWitness(True, (pu, pv))
+                tables.append(((pu, pv), bad))
     den = form.denominator
-    violations: list[LipLtpViolation] = []
-    for u, v in space.pairs():
-        bad = [row for row in form.rows(space.index(u), space.index(v),
-                                        idx, idx) if row[2] > row[3]]
-        if not bad:
-            return LipLtpWitness(True, (u, v))
-        violations.extend(
-            LipLtpViolation((u, v), pts[x], pts[y], Fraction(lhs, den),
-                            Fraction(rhs, den))
-            for x, y, lhs, rhs in bad)
-    return LipLtpWitness(False, None, tuple(violations))
+    sides = {n for _, bad in tables for row in bad for n in row[2:]}
+    value = {n: Fraction(n, den) for n in sides}
+    return LipLtpWitness(False, None, tuple(
+        LipLtpViolation(cand, pts[x], pts[y], value[lhs], value[rhs])
+        for cand, bad in tables for x, y, lhs, rhs in bad))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ class FiniteMetricSpace:
 
     The constructor checks shape only (matrix size, label uniqueness,
     known base); the metric axioms are checked by :func:`validate_metric`
-    and positivity alone by :meth:`require_positive`.  Point order is the
-    declaration order; certificates always reference labels, never
-    indices.  ``scale`` and ``int_dist`` are the compiled integer form,
-    built on first use and kept for the life of the object.
+    and a zero diagonal with positivity alone by :meth:`require_positive`.
+    Point order is the declaration order; certificates always reference
+    labels, never indices.  ``scale`` and ``int_dist`` are the compiled
+    integer form, built on first use and kept for the life of the object.
     """
 
     def __init__(self, points: Sequence[str], base: str,
@@ -78,14 +78,18 @@ class FiniteMetricSpace:
         return tuple(tuple(map(rational_str, row)) for row in self._dist)
 
     def require_positive(self) -> FiniteMetricSpace:
-        """Reject a zero or negative distance between distinct points."""
+        """Reject a nonzero diagonal, or a zero or negative distance between
+        distinct points."""
         for i, row in enumerate(self.int_dist):
+            p = self.points[i]
+            if row[i] != 0:
+                raise InvalidInput(f"d({p},{p}) = {self._dist[i][i]} != 0: "
+                                   "a point needs distance zero to itself")
             for j, x in enumerate(row):
                 if x <= 0 and i != j:
-                    p, q = self.points[i], self.points[j]
                     raise InvalidInput(
-                        f"d({p},{q}) = {self._dist[i][j]} <= 0: distinct "
-                        "points need a positive distance")
+                        f"d({p},{self.points[j]}) = {self._dist[i][j]} <= 0: "
+                        "distinct points need a positive distance")
         return self
 
     def index(self, p: str) -> int:

@@ -20,9 +20,9 @@ from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
                         in_unit_ball, slope)
 from .metric import (FiniteMetricSpace, Pair, PairSet, ValidationReport,
-                     _literal_parser, build_example52, make_pair_set,
-                     parse_rational, rational_str, space_from_json,
-                     space_to_json, validate_metric)
+                     build_example52, make_pair_set, parse_rational,
+                     rational_str, space_from_json, space_to_json,
+                     validate_metric)
 from .monotone import (CmCertificate, CmResult, CmViolation, _prune_threshold,
                        check_gamma, check_gamma_cm, cycle_sum)
 
@@ -146,10 +146,16 @@ def lip_ltp_payload(space, subset, eps, f, result: LipLtpWitness) -> dict:
     if result.found:
         body["pair"] = list(result.pair)
     else:
+        # The scan shares one Fraction per distinct side, so each literal
+        # is rendered once per object; keying by identity also skips
+        # Fraction's costly hash.  Every object stays alive in `result`.
+        sides = {id(q): q for viol in result.violations
+                 for q in (viol.lhs, viol.rhs)}
+        text = {key: frac(q) for key, q in sides.items()}
         body["violations"] = [
-            {"candidate": list(viol.candidate), "x": viol.x, "y": viol.y,
-             "lhs": frac(viol.lhs), "rhs": frac(viol.rhs)}
-            for viol in result.violations]
+            {"candidate": list(cand), "x": x, "y": y,
+             "lhs": text[id(lhs)], "rhs": text[id(rhs)]}
+            for cand, x, y, lhs, rhs in result.violations]
     return body
 
 
@@ -265,9 +271,22 @@ def _replay_cm(space: FiniteMetricSpace, body: dict) -> str:
     return f"negative cycle replayed, deficit {viol.deficit}"
 
 
-def _same(num: int, den: int, logged: Fraction) -> bool:
-    """num / den == logged, by cross-multiplying."""
-    return num * logged.denominator == logged.numerator * den
+def _ratio_parser():
+    """`parse_rational` as (p, q) in lowest terms, with a memo of the
+    ``str`` literals it has parsed, as `metric._literal_parser` keeps one
+    of Fractions.  Make one per load."""
+    memo: dict[str, tuple[int, int]] = {}
+
+    def ratio(x) -> tuple[int, int]:
+        if type(x) is not str:
+            q = parse_rational(x)
+            return q.numerator, q.denominator
+        pq = memo.get(x)
+        if pq is None:
+            q = parse_rational(x)
+            pq = memo[x] = (q.numerator, q.denominator)
+        return pq
+    return ratio
 
 
 def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
@@ -275,38 +294,41 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
 
     A found pair must satisfy every row (x, y) of the subset.  An absent
     verdict needs a row for every candidate; each row is recomputed on
-    integers over b * K and compared with its logged sides by
-    cross-multiplying, so an unreduced ``"p/q"`` reads the same.
+    integers over b * K by `LipLtpInequality.sides` and compared with its
+    logged sides by cross-multiplying, so an unreduced ``"p/q"`` reads the
+    same.
     """
     f = function_from_json(space, body["function"])
-    form = LipLtpInequality(space, parse_rational(body["eps"]), f)
     subset = body["subset"]
+    members = {p: space.index(p) for p in subset if p in space}
+    form = LipLtpInequality(space, parse_rational(body["eps"]), f,
+                            members.values())
     _ok(in_unit_ball(f), "function escapes the unit ball")
     _ok(all(p in space for p in subset), "subset leaves the space")
-    den = form.denominator
     if body["found"]:
         u, v = _pair_from_json(space, body["pair"])
-        idx = [space.index(p) for p in subset]
-        for x, y, lhs, rhs in form.rows(space.index(u), space.index(v),
-                                        idx, idx):
-            if lhs > rhs:
-                raise SoundnessError("witness pair fails at "
-                                     f"({space.points[x]}, {space.points[y]})")
+        bad = form.failing(space.index(u), space.index(v))
+        if bad:
+            x, y = bad[0][:2]
+            raise SoundnessError("witness pair fails at "
+                                 f"({space.points[x]}, {space.points[y]})")
         return "compatible pair replayed"
     violations = body["violations"]
-    members, covered = set(subset), set()
-    parse = _literal_parser()
-    for viol in violations:
+    den = form.denominator
+    covered = set()
+    ratio = _ratio_parser()
+    for viol in violations:  # `_ok` inlined: this loop runs once per row
         u, v = viol["candidate"]
         covered.add((u, v))
-        x, y = viol["x"], viol["y"]
-        _ok(x in members and y in members, "violation row leaves the subset")
-        _, _, lhs, rhs = form.rows(space.index(u), space.index(v),
-                                   [space.index(x)], [space.index(y)])[0]
-        _ok(_same(lhs, den, parse(viol["lhs"]))
-            and _same(rhs, den, parse(viol["rhs"])),
-            "violation row does not recompute")
-        _ok(lhs > rhs, "logged violation is not a violation")
+        x, y = members.get(viol["x"]), members.get(viol["y"])
+        if x is None or y is None:
+            raise SoundnessError("violation row leaves the subset")
+        lhs, rhs = form.sides(space.index(u), space.index(v), x, y)
+        (p, q), (r, t) = ratio(viol["lhs"]), ratio(viol["rhs"])
+        if lhs * q != p * den or rhs * t != r * den:
+            raise SoundnessError("violation row does not recompute")
+        if lhs <= rhs:
+            raise SoundnessError("logged violation is not a violation")
     _ok(covered == set(space.pairs()), "violation rows miss a candidate")
     return f"{len(violations)} violation rows replayed"
 

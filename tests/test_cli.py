@@ -11,6 +11,7 @@ from lipcert import cli
 from lipcert.cli import EXAMPLE52_N, example52_function, main
 from lipcert.lipschitz import function_to_json, slope
 from lipcert.metric import build_example52, build_line, space_to_json
+from lipcert.monotone import brute_force_cm_oracle
 
 LINE3_JSON = space_to_json(build_line(3))
 DESCENT_PAIRS = {"pairs": [["2", "1"], ["1", "0"]]}
@@ -209,6 +210,60 @@ def test_zero_distance_rejected_except_by_validate(files, capsys):
     assert "positive distance" in capsys.readouterr().err
     code, report = run_json(capsys, ["validate", zero])
     assert code == 2 and report["payload"]["failure"] == "positivity"
+
+
+@pytest.mark.parametrize("diagonal", ["-1", "1"])
+def test_nonzero_diagonal_rejected_except_by_validate(files, capsys,
+                                                      tmp_path, diagonal):
+    """d(b, b) != 0 ends in an `error:` line, never in a soundness error,
+    whether the space is a command's input or sits in a report."""
+    good = {"points": ["a", "b", "c"], "base": "a",
+            "distances": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]}
+    bad = dict(good, distances=[["0", "1", "2"], ["1", diagonal, "1"],
+                                ["2", "1", "0"]])
+    pairs = files("p.json", {"pairs": [["a", "b"]]})
+    for cmd in ("check-cm", "witness"):
+        assert main([cmd, "--gamma", "1/2", "--pairs", pairs,
+                     files("bad.json", bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d(b,b)" in err, err
+    code, report = run_json(capsys, ["check-cm", "--gamma", "1/2", "--pairs",
+                                     pairs, files("good.json", good)])
+    assert code == 0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(dict(report, payload=dict(
+        report["payload"], space=bad))))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    code, report = run_json(capsys, ["validate", files("bad.json", bad)])
+    assert code == 2 and report["payload"]["failure"] == "zero-diagonal"
+
+
+@pytest.mark.parametrize("atoms", [
+    [("y3", "v1_1", Fraction(1, 5)), ("u2_1", "y2", Fraction(3, 5)),
+     ("u2_1", "u3_1", Fraction(1, 5))],
+    [("y1", "x1", Fraction(1, 3)), ("u3_1", "v2_1", Fraction(1, 3)),
+     ("y1", "x2", Fraction(1, 3))],
+])
+def test_ld2p_absent_at_nine_tenths_on_example52(files, capsys, atoms):
+    """At gamma = 9/10 the only support subset heavy enough is the whole
+    support A, and no (u, v) makes A + (u, v) and A + (v, u) both 9/10-CM:
+    the search exhausts its 132 candidates."""
+    mu = files("mu.json", {"atoms": [
+        {"from": a, "to": b, "weight": str(w)} for a, b, w in atoms]})
+    code, report = run_json(capsys, ["ld2p-cert", "--gamma", "9/10", mu,
+                                     "--builtin", "example52:1"])
+    payload = report["payload"]
+    assert (code, report["verdict"], payload["kind"]) == \
+        (2, "absent", "ld2p-absent")
+    assert payload["scanned"] == 132 and not payload["truncated"]
+    space = build_example52(1)
+    support = tuple((a, b) for a, b, _ in atoms)
+    gamma = Fraction(9, 10)
+    assert not any(
+        brute_force_cm_oracle(space, support + ((u, v),), gamma)
+        and brute_force_cm_oracle(space, support + ((v, u),), gamma)
+        for u, v in space.pairs())
 
 
 def test_lip_ltp_subcommand(files, capsys):
@@ -497,6 +552,26 @@ def test_verify_lip_ltp_rows_to_the_last_unit(files, capsys, tmp_path):
         tampered[k][field] = value
         assert _verify_code(capsys, tmp_path,
                             dict(payload, violations=tampered)) == want, value
+
+
+def test_verify_lip_ltp_rejects_a_row_that_holds(files, capsys, tmp_path):
+    """A logged row whose sides recompute exactly but with lhs <= rhs
+    refutes nothing, though every candidate stays covered."""
+    code, report = _example52_lip_ltp(files, capsys, "1/14")
+    assert code == 2
+    payload = report["payload"]
+    space = build_example52(1)
+    f = example52_function(space)
+    u, v = payload["violations"][0]["candidate"]
+    scale = 1 - Fraction(1, 14)
+    x, y = next((x, y) for x in EXAMPLE52_N for y in EXAMPLE52_N
+                if scale * (abs(f(x) - f(y)) + space.d(u, v))
+                <= space.d(x, u) + space.d(y, v))
+    held = {"candidate": [u, v], "x": x, "y": y,
+            "lhs": str(scale * (abs(f(x) - f(y)) + space.d(u, v))),
+            "rhs": str(space.d(x, u) + space.d(y, v))}
+    assert _verify_code(capsys, tmp_path, dict(
+        payload, violations=[held] + payload["violations"])) == 1
 
 
 def test_verify_lip_ltp_found_pair_must_hold(files, capsys, tmp_path):

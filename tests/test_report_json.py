@@ -22,6 +22,11 @@ EXAMPLE52_L1_M2_SHA256 = ("3afb6b50980dad8baf4ecf74e0dff806"
 # still had an LP of its own.
 SLICE_LINE4_SHA256 = ("e7606d2e1a08439e9e493659d5694977"
                       "14dfb9e16c4d4885b6a59d6a0e537e01")
+# The absent `lip-ltp --builtin example52:3 --eps 1/14` payload over the
+# six core points with `example52_function`: 3274 violation rows, recorded
+# while each row was decided by a one-row call and became two `Fraction`s.
+LIP_LTP_L3_SHA256 = ("0955fd55d363d45f401c5c0a993f4a6c"
+                     "0ecaf11210f3830ba182519fbc00cf64")
 # Pair sets on example52:1 whose eight pairs land on six points, and a
 # 1-CM set of four pairs landing on three points whose 2-Lip-LTP search at
 # eps = 1/10 fails for all 132 candidates; recorded while check_gamma_cm
@@ -66,11 +71,72 @@ def test_indent_encoder_matches_json_dumps(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
 
 
+# Lists of same-keyed rows, the case the encoder writes from a template:
+# keys that hold "%" or "%s", non-ASCII text, and rows that leave the
+# template (other keys, another key order, a non-str value, an empty list,
+# an int list as in a 2-Lip-LTP cycle, a str where the first row has a
+# list, or the reverse).
+row_keys = st.sampled_from(
+    ["%", "%s", "a%%b", "%(k)s", "100%", "x", "candidate", "\u00e9t\u00e9",
+     "\u2603"]) | st.text()
+row_text = st.text(max_size=4) | st.sampled_from(["%s", "%", "\u00e9"])
+row_strings = st.lists(row_text, min_size=1, max_size=3)
+odd_values = (st.none() | st.booleans() | st.integers() | st.just([])
+              | st.lists(st.integers(0, 9), min_size=1, max_size=3)
+              | st.lists(row_text | st.integers(), min_size=1, max_size=3)
+              | st.tuples(row_text) | st.dictionaries(row_text, row_text))
+
+
+@st.composite
+def row_lists(draw):
+    keys = draw(st.lists(row_keys, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.booleans()) for _ in keys]  # True: a str value
+
+    def row():
+        return {k: draw(row_text if is_str else row_strings)
+                for k, is_str in zip(keys, kinds)}
+    rows = [row() for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.sampled_from(keys))
+        change = draw(st.sampled_from(
+            ["reorder", "other key", "drop key", "odd value", "empty list",
+             "swap kind", "not a dict"]))
+        if not isinstance(rows[i], dict) or k not in rows[i]:
+            continue
+        if change == "reorder":
+            rows[i] = dict(reversed(list(rows[i].items())))
+        elif change == "other key":
+            rows[i][draw(row_keys)] = draw(row_text)
+        elif change == "drop key":
+            del rows[i][k]
+        elif change == "odd value":
+            rows[i][k] = draw(odd_values)
+        elif change == "empty list":
+            rows[i][k] = []
+        elif change == "swap kind":
+            rows[i][k] = draw(row_strings if isinstance(rows[i][k], str)
+                              else row_text)
+        else:
+            rows[i] = draw(row_strings)
+    return draw(st.sampled_from([rows, {"rows": rows}, [[rows]]]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(row_lists())
+def test_indent_encoder_rows_match_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
 @pytest.mark.parametrize("obj", [
     {}, [], (), "", [[]], [{}], {"a": {}}, {"a": []}, [[], [[]], {}],
     {"é": "\x00\x1f \ud83d", "k": ["\"", "\\", "\n\t"]},
     [2 ** 200, -2 ** 200, 0.1, -0.0, 1e308, math.nan, math.inf, -math.inf],
     {"t": (True, False, None), "n": [1, "1", [1.5, "x"]]},
+    [{"%s": ["%"], "é": "%%"}, {"%s": ["a", "b"], "é": "\u2603"}],
+    [{"a": ["x"]}, {"a": []}], [{"a": "x"}, {"a": ["x"]}],
+    [{"a": "x", "b": "y"}, {"b": "y", "a": "x"}, {"a": "x", "b": "y"}],
+    [{"candidate": ["u", "v"], "side": "forward", "cycle": [0, 1]}],
 ])
 def test_indent_encoder_edge_cases(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
@@ -116,6 +182,19 @@ def test_example52_payload_digest_is_pinned(capsys, monkeypatch):
     assert code == 0
     assert canonical_hash(json.loads(out)["payload"]) == \
         EXAMPLE52_L1_M2_SHA256
+
+
+def test_lip_ltp_l3_payload_digest_is_pinned(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(function_to_json(
+        example52_function(build_example52(3)))))
+    code, out = _stdout(capsys, ["lip-ltp", "--builtin", "example52:3",
+                                 "--eps", "1/14", "--subset",
+                                 ",".join(EXAMPLE52_N), "--function", str(f)])
+    assert code == 2
+    payload = json.loads(out)["payload"]
+    assert len(payload["violations"]) == 3274
+    assert canonical_hash(payload) == LIP_LTP_L3_SHA256
 
 
 def test_slice_lp_payload_digest_is_pinned(capsys, tmp_path):
