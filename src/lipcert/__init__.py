@@ -16,10 +16,9 @@ from .lipschitz import (LipschitzFunction, PartialFunction, floor_round,
                         slope)
 from .monotone import (CmCertificate, CmViolation, brute_force_cm_oracle,
                        check_augmented, check_gamma_cm, prune_to_cm,
-                       synthesize_witness)
+                       replay_prune, replay_witness, synthesize_witness)
 from .lpcore import LinearProgram, LpResult, solve_lp, solve_lps
-from .functionals import (PairMeasure, apply_measure,
-                          check_norm_attainment_signed, dual_norm, is_optimal,
+from .functionals import (PairMeasure, apply_measure, dual_norm, is_optimal,
                           measure_from_json, measure_to_json, positivize,
                           slice_diameter)
 from .d2p import (Ld2pCertificate, Sd2pCertificate, ld2p_certificate,
@@ -36,11 +35,11 @@ __all__ = [
     "function_from_json", "function_to_json", "in_unit_ball", "lip_norm",
     "mcshane_inf_extension", "mcshane_sup_extension", "slope",
     "CmCertificate", "CmViolation", "brute_force_cm_oracle",
-    "check_augmented", "check_gamma_cm", "prune_to_cm", "synthesize_witness",
+    "check_augmented", "check_gamma_cm", "prune_to_cm", "replay_prune",
+    "replay_witness", "synthesize_witness",
     "LinearProgram", "LpResult", "solve_lp", "solve_lps",
-    "PairMeasure", "apply_measure", "check_norm_attainment_signed",
-    "dual_norm", "is_optimal", "measure_from_json", "measure_to_json",
-    "positivize", "slice_diameter",
+    "PairMeasure", "apply_measure", "dual_norm", "is_optimal",
+    "measure_from_json", "measure_to_json", "positivize", "slice_diameter",
     "Ld2pCertificate", "Sd2pCertificate", "ld2p_certificate",
     "lip_ltp_witness", "sd2p_certificate", "two_lip_ltp_witness",
 ]

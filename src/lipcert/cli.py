@@ -20,7 +20,7 @@ from itertools import islice
 from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
-                        lip_norm, mcshane_sup_extension)
+                        lip_norm, mcshane_sup_extension, slope)
 from .metric import (FiniteMetricSpace, _common_scale, builtin_space,
                      parse_rational, space_from_json, validate_metric)
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
@@ -246,12 +246,15 @@ def render_proof(payload: dict) -> str:
 
 
 def _two_sided_proof(space, payload, pairs, gamma, u, v) -> list[str]:
-    """The inequalities `d2p.replay_two_sided` checks, with exact values."""
+    """The inequalities `d2p.replay_two_sided` checks, with exact values,
+    written once the replay has passed."""
     f = function_from_json(space, payload["f"])
     g = function_from_json(space, payload["g"])
-    rows = d2p.replay_two_sided(pairs, gamma, u, v, f, g)
+    d2p.replay_two_sided(pairs, gamma, u, v, f, g)
     return [f"lip(f) = {lip_norm(f)} <= 1, lip(g) = {lip_norm(g)} <= 1"] + [
-        f"slope({name}, {pair}) = {s} >= {gamma}" for name, pair, s in rows]
+        f"slope({name}, {pair}) = {slope(h, pair)} >= {gamma}"
+        for name, h, last in (("f", f, (v, u)), ("g", g, (u, v)))
+        for pair in (*pairs, last)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +396,7 @@ def cmd_sd2p_cert(args, started) -> int:
         return emit(args, "certificate", payload, EXIT_OK, started,
                     [f"common pair ({outcome.certificate.u}, "
                      f"{outcome.certificate.v})"])
-    payload = {
-        "kind": "sd2p-absent",
-        "space": reports.space_to_json(space),
-        "gamma": reports.frac(gamma),
-        "scanned": outcome.log.scanned,
-    }
+    payload = reports.sd2p_absent_payload(mu_list, gamma, outcome.log)
     return emit(args, "absent", payload, EXIT_REFUTED, started,
                 ["no common pair found"])
 

@@ -2,8 +2,10 @@
 
 The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
 step and one replay, `replay_two_sided`, run by the searches, `verify`
-and `--emit-proof`; a replay failure raises `SoundnessError`.  A negative
-answer (ABSENT) carries an audit log of every candidate and its failure.
+and `--emit-proof`.  It is two calls of `monotone.replay_witness`, the
+one check of "unit ball and slope >= gamma across pairs"; a replay
+failure raises `SoundnessError`.  A negative answer (ABSENT) carries an
+audit log of every candidate and its failure.
 
 The Lip-LTP inequality (1 - eps)(|f(x) - f(y)| + d(u, v)) > d(x, u) +
 d(y, v) is compiled once onto integers by `LipLtpInequality`: with
@@ -23,11 +25,11 @@ from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, SoundnessError
 from .functionals import PairMeasure
-from .lipschitz import LipschitzFunction, in_unit_ball, slope
+from .lipschitz import LipschitzFunction, in_unit_ball
 from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
                      make_pair_set)
 from .monotone import (CmViolation, check_augmented, check_gamma,
-                       check_gamma_cm, inf_extension)
+                       check_gamma_cm, inf_extension, replay_witness)
 
 MAX_SUPPORT = 16
 MAX_LOG_ENTRIES = 10000
@@ -143,8 +145,8 @@ def _two_sided(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
     Returns (side, violation) at the first side that is not gamma-CM, else
     (None, (f, g)): f the inf-extension of the backward certificate, g of
     the forward one.  They are not checked here: every caller that emits
-    them runs `replay_two_sided` first, whose unit-ball and slope gates
-    are the ones `synthesize_witness` would apply."""
+    them runs `replay_two_sided` first, whose two `replay_witness` calls
+    are the gate `synthesize_witness` would apply."""
     fwd = check_augmented(space, pairs, gamma, u, v)
     if isinstance(fwd, CmViolation):
         return "forward", fwd
@@ -155,11 +157,10 @@ def _two_sided(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
 
 
 def replay_two_sided(pairs: PairSet, gamma: Fraction, u: str, v: str,
-                     f: LipschitzFunction, g: LipschitzFunction
-                     ) -> list[tuple[str, Pair, Fraction]]:
-    """Replay a two-sided witness: f and g lie in the unit ball, f has
-    slope >= gamma on A + (v, u) and g has slope >= gamma on A + (u, v).
-    Returns the checked slopes as (name, pair, slope) rows.
+                     f: LipschitzFunction, g: LipschitzFunction) -> None:
+    """Replay a two-sided witness: `replay_witness` of f on A + (v, u) and
+    of g on A + (u, v).  A degenerate or unknown (u, v), or a gamma
+    outside (0, 1], is `InvalidInput`.
 
     These checks imply what the search decided.  The potentials
     alpha_i = f(y_i) satisfy alpha_i <= alpha_j + beta_ij on A + (v, u):
@@ -171,15 +172,8 @@ def replay_two_sided(pairs: PairSet, gamma: Fraction, u: str, v: str,
     telescopes f(x) - f(y) + gamma d(u, v) <= (f(x) - f(u)) + (f(v) - f(y)),
     and g(u) - g(v) >= gamma d(u, v) bounds g(y) - g(x) the same way.
     """
-    if not (in_unit_ball(f) and in_unit_ball(g)):
-        raise SoundnessError("two-sided witness escapes the unit ball")
-    rows = [(name, pair, slope(h, pair))
-            for name, h, last in (("f", f, (v, u)), ("g", g, (u, v)))
-            for pair in (*pairs, last)]
-    for name, pair, s in rows:
-        if s < gamma:
-            raise SoundnessError(f"slope({name}, {pair}) = {s} < {gamma}")
-    return rows
+    replay_witness((*pairs, (v, u)), gamma, f)
+    replay_witness((*pairs, (u, v)), gamma, g)
 
 
 # ---------------------------------------------------------------------------

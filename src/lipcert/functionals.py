@@ -10,22 +10,23 @@ constraints f(p) - f(q) <= d(p, q).  The general route goes through the
 exact simplex in `lpcore`; when the feasible set is a pure difference
 system (single-atom slice constraints, cyclically monotonic supports)
 an exact shortest-path route is used instead, and the two routes are
-cross-checked against each other in the test suite.
+cross-checked against each other in the test suite.  Every route ends
+in its result's one replay, `DualNormResult.replay` or
+`SliceDiameterResult.replay`, which `verify` runs on a report as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import LipschitzFunction, in_unit_ball, slope
 from .lpcore import LinearProgram, solve_lp, solve_lps
-from .metric import (FiniteMetricSpace, Pair, PairSet, make_pair_set,
-                     parse_rational, rational_str, reflect, reflect_set)
-from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
-                       synthesize_witness)
+from .metric import (FiniteMetricSpace, Pair, PairSet, parse_rational,
+                     rational_str, reflect)
+from .monotone import (CmCertificate, CmViolation, check_gamma_cm,
+                       inf_extension)
 
 # Cross-checks that need a full simplex run are skipped above this size;
 # exact certificate replay still guards every returned result.
@@ -103,6 +104,13 @@ class DualNormResult:
     maximizer: LipschitzFunction
     method: str  # "lp" | "cm-witness"
 
+    def replay(self, mu: PairMeasure) -> None:
+        """The maximizer lies in the unit ball and attains `norm`."""
+        if not in_unit_ball(self.maximizer):
+            raise SoundnessError("maximizer escapes the unit ball")
+        if apply_measure(mu, self.maximizer) != self.norm:
+            raise SoundnessError("maximizer does not attain the norm")
+
 
 def _ball_lp(space: FiniteMetricSpace) -> tuple[LinearProgram, list[str]]:
     """Variables f(p) for p != base; all unit-ball difference constraints."""
@@ -139,31 +147,39 @@ def _point_to_function(space: FiniteMetricSpace, free: list[str],
     return LipschitzFunction(space, vals)
 
 
+def _cm_norm(mu: PairMeasure, cert: CmCertificate) -> DualNormResult:
+    """The norm of a positive measure whose support `cert` certifies 1-CM.
+    It is the total mass: that bounds the norm from above, and the
+    certificate's inf-extension attains it.  `DualNormResult.replay` is
+    the witness's only check."""
+    result = DualNormResult(mu.total_mass(), inf_extension(mu.space, cert),
+                            "cm-witness")
+    result.replay(mu)
+    return result
+
+
 def dual_norm(mu: PairMeasure, force_lp: bool = False) -> DualNormResult:
     """Exact norm of the induced functional, with an attaining maximizer.
 
     If the measure is positive with cyclically monotonic support, the
     synthesized slope-1 witness attains total mass and settles the norm
     without an LP; otherwise the ball LP is solved by exact simplex.
+    Either result passes `DualNormResult.replay` before it is returned.
     """
     space = mu.space
     if not force_lp and mu.is_positive():
         verdict = check_gamma_cm(space, mu.support(), Fraction(1))
         if isinstance(verdict, CmCertificate):
-            f = synthesize_witness(space, mu.support(), Fraction(1), verdict)
-            norm = mu.total_mass()
-            if apply_measure(mu, f) != norm:
-                raise SoundnessError("CM witness does not attain total mass")
-            return DualNormResult(norm, f, "cm-witness")
+            return _cm_norm(mu, verdict)
     lp, free = _ball_lp(space)
     lp.set_objective(_measure_objective(mu, free))
     res = solve_lp(lp)
     if res.status != "optimal":
         raise SoundnessError(f"ball LP came back {res.status}")
-    f = _point_to_function(space, free, res.point)
-    if apply_measure(mu, f) != res.value or not in_unit_ball(f):
-        raise SoundnessError("LP maximizer fails replay")
-    return DualNormResult(res.value, f, "lp")
+    result = DualNormResult(res.value,
+                            _point_to_function(space, free, res.point), "lp")
+    result.replay(mu)
+    return result
 
 
 @dataclass(frozen=True)
@@ -178,19 +194,17 @@ def is_optimal(mu: PairMeasure) -> OptimalityVerdict:
     """Norm attainment for a positive measure.
 
     For finitely supported positive measures optimality collapses to the
-    support being cyclically monotonic; the verdict is cross-checked
-    against the exact LP norm on small spaces (a mismatch is a bug, not
-    a soft warning).
+    support being cyclically monotonic.  A certified support's witness is
+    replayed as the attaining maximizer of the total mass; the verdict is
+    also cross-checked against the exact LP norm on small spaces (a
+    mismatch is a bug, not a soft warning).
     """
     if not mu.is_positive():
         raise InvalidInput("optimality is defined for positive measures; "
                            "positivize first")
     verdict = check_gamma_cm(mu.space, mu.support(), Fraction(1))
     if isinstance(verdict, CmCertificate):
-        # Exact replay: the slope-1 witness attains the total mass.
-        res = dual_norm(mu)
-        if res.norm != mu.total_variation():
-            raise SoundnessError("CM support but LP norm below total mass")
+        _cm_norm(mu, verdict)
         if len(mu.space) <= LP_CROSS_CHECK_MAX_POINTS:
             lp_res = dual_norm(mu, force_lp=True)
             if lp_res.norm != mu.total_variation():
@@ -200,54 +214,6 @@ def is_optimal(mu: PairMeasure) -> OptimalityVerdict:
     if gap <= 0:
         raise SoundnessError("support not CM but LP attains total mass")
     return OptimalityVerdict(False, None, verdict, gap)
-
-
-@dataclass(frozen=True)
-class AttestationResult:
-    success: bool
-    gamma: Fraction
-    pair_set: Optional[PairSet] = None
-    witness: Optional[LipschitzFunction] = None
-    scanned_subsets: int = 0
-
-
-def check_norm_attainment_signed(nu: PairMeasure,
-                                 gamma: Fraction) -> AttestationResult:
-    """Signed-measure norm attainment at level gamma.
-
-    Searches subsets A of supp(nu+) union reflect(supp(nu-)) for a
-    gamma-CM set with nu+(A) + nu-(reflect(A)) >= gamma |nu|(M~); for a
-    finitely supported nu these subsets are exhaustive.
-    """
-    from .monotone import check_gamma
-    gamma = check_gamma(gamma)
-    pos = nu.positive_part()
-    neg = nu.negative_part()
-    candidates = make_pair_set(
-        nu.space, tuple(pos) + reflect_set(tuple(neg)))
-    if len(candidates) > 16:
-        raise InvalidInput("signed attainment search is guarded to 16 atoms")
-    target = gamma * nu.total_variation()
-
-    def score(subset: tuple[Pair, ...]) -> Fraction:
-        s = sum((pos.get(p, Fraction(0)) for p in subset), Fraction(0))
-        s += sum((neg.get(reflect(p), Fraction(0)) for p in subset), Fraction(0))
-        return s
-
-    ranked = sorted(
-        (sub for size in range(len(candidates), -1, -1)
-         for sub in combinations(candidates, size)),
-        key=lambda sub: (-score(sub), sub))
-    scanned = 0
-    for sub in ranked:
-        if score(sub) < target:
-            continue
-        scanned += 1
-        verdict = check_gamma_cm(nu.space, sub, gamma)
-        if isinstance(verdict, CmCertificate):
-            f = synthesize_witness(nu.space, sub, gamma, verdict)
-            return AttestationResult(True, gamma, sub, f, scanned)
-    return AttestationResult(False, gamma, scanned_subsets=scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +226,20 @@ class SliceDiameterResult:
     f: LipschitzFunction
     g: LipschitzFunction
     method: str
+
+    def replay(self, mu: PairMeasure, alpha: Fraction) -> None:
+        """f and g lie in the closed slice {h in ball : mu(h) >= 1 - alpha}
+        and slope(f, pair) - slope(g, pair) is the claimed diameter: a
+        lower bound on the supremal diameter."""
+        for h in (self.f, self.g):
+            if not in_unit_ball(h):
+                raise SoundnessError("slice member escapes the unit ball")
+            if apply_measure(mu, h) < 1 - alpha:
+                raise SoundnessError("slice member misses the closed slice")
+        if slope(self.f, self.pair) - slope(self.g, self.pair) != \
+                self.diameter:
+            raise SoundnessError(
+                "attaining pair does not reproduce the diameter")
 
 
 def _apsp_with_slice(space: FiniteMetricSpace, atom: Pair,
@@ -341,8 +321,9 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
         g = LipschitzFunction(space, {
             p: Fraction(x - dist[iu][ibase], scale)
             for p, x in zip(space.points, dist[iu])})
-        _replay_slice_members(mu, alpha, f, g, (u, v), diam)
-        return SliceDiameterResult(diam, (u, v), f, g, "shortest-path")
+        result = SliceDiameterResult(diam, (u, v), f, g, "shortest-path")
+        result.replay(mu, alpha)
+        return result
 
     lp, free = _ball_lp(space)
     lp.add_constraint([-c for c in _measure_objective(mu, free)], alpha - 1)
@@ -369,21 +350,10 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
                 best = (cand, u, v)
     assert best is not None
     diam, u, v = best
-    f = cache[(u, v)][1]
-    g = cache[(v, u)][1]
-    _replay_slice_members(mu, alpha, f, g, (u, v), diam)
-    return SliceDiameterResult(diam, (u, v), f, g, "lp")
-
-
-def _replay_slice_members(mu, alpha, f, g, pair, diam) -> None:
-    u, v = pair
-    for h in (f, g):
-        if not in_unit_ball(h):
-            raise SoundnessError("slice member escapes the unit ball")
-        if apply_measure(mu, h) < 1 - alpha:
-            raise SoundnessError("slice member misses the closed slice")
-    if slope(f, (u, v)) - slope(g, (u, v)) != diam:
-        raise SoundnessError("attaining pair does not reproduce the diameter")
+    result = SliceDiameterResult(diam, (u, v), cache[(u, v)][1],
+                                 cache[(v, u)][1], "lp")
+    result.replay(mu, alpha)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ without a division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidInput
 from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,

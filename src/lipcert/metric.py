@@ -121,13 +121,9 @@ class FiniteMetricSpace:
 
     def integer_bound(self) -> Optional[int]:
         """Largest distance if all distances are integers, else None."""
-        best = 0
-        for row in self._dist:
-            for x in row:
-                if x.denominator != 1:
-                    return None
-                best = max(best, int(x))
-        return best
+        if self.scale != 1:
+            return None
+        return max(0, *map(max, self.int_dist))
 
 
 @dataclass(frozen=True)

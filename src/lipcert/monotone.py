@@ -24,12 +24,19 @@ where some beta_ii is not 0 (a nonzero diagonal) the pair graph itself
 is searched.  Certificates and violations are exactly the ones the
 complete pair graph gives.
 
+Each certificate kind has one replay, run by the builder and by `verify`
+alike: `CmCertificate.replay` and `CmViolation.replay` for the decision,
+`replay_witness` for a unit-ball function with slope >= gamma across
+the pairs (the witness, and both sides of every D2P certificate), and
+`replay_prune` for a pruned subset.
+
 The kernels run on integers: with gamma = g / h and the space compiled to
 D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
-certificate replay and witness synthesis work on the scale h * L (or a
-multiple of it).  Potentials, deficits and witness values become
-`Fraction` only when they are returned.  `beta`, `cycle_sum` and
-`brute_force_cm_oracle` stay in `Fraction` as independent references.
+certificate replay, witness synthesis and witness replay work on the
+scale h * L (or a multiple of it).  Potentials, deficits and witness
+values become `Fraction` only when they are returned.  `beta`,
+`cycle_sum` and `brute_force_cm_oracle` stay in `Fraction` as
+independent references.
 """
 from __future__ import annotations
 
@@ -309,37 +316,53 @@ def brute_force_cm_oracle(space: FiniteMetricSpace, pairs: PairSet,
     return True
 
 
-def _inf_extension(space: FiniteMetricSpace, pairs: PairSet,
-                   potentials) -> tuple[int, list[int]]:
-    """(K, F): K = lcm(L, potential denominators) and, for each point p,
-    F_p = K * (min_i (alpha_i + d(p, y_i)) - the same at the base)."""
-    K, a = _common_scale(space.scale, potentials)
-    ends = [(space.index(x), space.index(y)) for x, y in pairs]
-    vals = list(_landing_inf(space.int_dist, ends, a, K // space.scale,
-                             range(len(space))).values())
-    shift = vals[space.index(space.base)]
-    return K, [v - shift for v in vals]
-
-
-def _function(space: FiniteMetricSpace, K: int, vals: list[int]
-              ) -> LipschitzFunction:
-    return LipschitzFunction(space, {p: Fraction(v, K)
-                                     for p, v in zip(space.points, vals)})
-
-
 def inf_extension(space: FiniteMetricSpace,
                   cert: CmCertificate) -> LipschitzFunction:
     """The inf-extension of y_i -> alpha_i over the certificate's pairs,
     shifted to vanish at the base point, with no check of its own.
 
-    On potentials that pass `CmCertificate.replay` it is 1-Lipschitz
-    with slope >= gamma across every pair; a caller that does not check
-    that itself must call `synthesize_witness` instead.
+    It is built on K = lcm(L, potential denominators) as
+    F_p = K * (min_i (alpha_i + d(p, y_i)) - the same at the base).  On
+    potentials that pass `CmCertificate.replay` it is 1-Lipschitz with
+    slope >= gamma across every pair; a caller that does not check that
+    itself must call `synthesize_witness` instead.
     """
     if not cert.pairs:
         return LipschitzFunction(space, {p: 0 for p in space.points})
-    return _function(space, *_inf_extension(space, cert.pairs,
-                                            cert.potentials))
+    K, a = _common_scale(space.scale, cert.potentials)
+    ends = [(space.index(x), space.index(y)) for x, y in cert.pairs]
+    vals = list(_landing_inf(space.int_dist, ends, a, K // space.scale,
+                             range(len(space))).values())
+    shift = vals[space.index(space.base)]
+    return LipschitzFunction(space, {p: Fraction(v - shift, K)
+                                     for p, v in zip(space.points, vals)})
+
+
+def replay_witness(pairs: PairSet, gamma: Fraction,
+                   f: LipschitzFunction) -> None:
+    """Replay a witness: f lies in the unit ball and has slope >= gamma
+    across every pair, so `pairs` is gamma-CM.
+
+    gamma must lie in (0, 1], and every pair goes through `check_pair`
+    first: a gamma out of range, or a degenerate or unknown pair, is
+    `InvalidInput`, never a vacuous 0 >= 0.  The slopes are
+    decided on integers over K = lcm(L, value denominators): with
+    F = K * f and gamma = g / h, slope(f, (x, y)) >= gamma iff
+    h * L * (F_x - F_y) >= g * K * D_xy.
+    """
+    gamma = check_gamma(gamma)
+    space = f.space
+    pairs = [space.check_pair(pair) for pair in pairs]
+    if not in_unit_ball(f):
+        raise SoundnessError("witness escapes the unit ball")
+    K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
+    g, h = gamma.numerator, gamma.denominator
+    hl, gk = h * space.scale, g * K
+    D = space.int_dist
+    for pair in pairs:
+        x, y = space.index(pair[0]), space.index(pair[1])
+        if hl * (F[x] - F[y]) < gk * D[x][y]:
+            raise SoundnessError(f"witness slope below {gamma} across {pair}")
 
 
 def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
@@ -349,8 +372,7 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
     Built as the inf-extension of y_i -> alpha_i, then shifted to vanish
     at the base point.  The certificate is not replayed again (the
     callers take it from `check_gamma_cm`, which has just replayed it):
-    the slope postcondition on every pair and unit-ball membership are
-    checked exactly and gate the result, so bad potentials end in
+    `replay_witness` gates the result, so bad potentials end in
     `SoundnessError`, never in a wrong function.
     """
     gamma = check_gamma(gamma)
@@ -359,21 +381,8 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
         raise InvalidInput("certificate does not match the queried instance")
     if len(cert.potentials) != len(pairs):
         raise SoundnessError("potential count does not match pair count")
-    if not pairs:
-        return inf_extension(space, cert)
-    # Everything runs on the scale K = lcm(L, potential denominators).
-    K, vals = _inf_extension(space, pairs, cert.potentials)
-    D = space.int_dist
-    # slope(f, (x, y)) >= g / h  iff  h * L * (F_x - F_y) >= g * K * D_xy.
-    g, h = gamma.numerator, gamma.denominator
-    hl, gk = h * space.scale, g * K
-    for pair in pairs:
-        ix, iy = space.index(pair[0]), space.index(pair[1])
-        if hl * (vals[ix] - vals[iy]) < gk * D[ix][iy]:
-            raise SoundnessError(f"witness slope below gamma across {pair}")
-    f = _function(space, K, vals)
-    if not in_unit_ball(f):
-        raise SoundnessError("witness escapes the unit ball")
+    f = inf_extension(space, cert)
+    replay_witness(pairs, gamma, f)
     return f
 
 
@@ -405,6 +414,20 @@ def _prune_threshold(space: FiniteMetricSpace, mu, gamma: Fraction,
     return t
 
 
+def replay_prune(space: FiniteMetricSpace, pairs: PairSet, mu,
+                 gamma: Fraction, n: int, kept: PairSet) -> None:
+    """Replay a pruned set: `kept` is a subset of `pairs`, 1-CM, and keeps
+    mu(kept) >= mu(pairs) - 2n(1 - gamma) mu(M~), after the inputs pass
+    the preconditions of `prune_to_cm`."""
+    t = _prune_threshold(space, mu, gamma, n)
+    if not set(kept) <= set(pairs):
+        raise SoundnessError("kept set is not a subset")
+    if isinstance(check_gamma_cm(space, kept, Fraction(1)), CmViolation):
+        raise SoundnessError("kept set is not 1-CM")
+    if mu.mass_of(kept) < mu.mass_of(pairs) - 2 * t * mu.total_mass():
+        raise SoundnessError("mass bound fails")
+
+
 def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
                 gamma: Fraction, n: int) -> PairSet:
     """Extract a 1-CM subset B of a gamma-CM set on an integer metric.
@@ -413,7 +436,8 @@ def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
     Buckets pair indices by the fractional part of their potentials into K
     half-open intervals with K the largest integer such that
     n(1 - gamma) <= 1/K, and drops the lightest bucket.  The survivor
-    keeps mu(B) >= mu(A) - 2n(1 - gamma) mu(M~) and is certified 1-CM.
+    keeps mu(B) >= mu(A) - 2n(1 - gamma) mu(M~); `replay_prune` checks
+    that and its 1-CM verdict before it is returned.
     """
     gamma = check_gamma(gamma)
     pairs = make_pair_set(space, pairs)
@@ -422,7 +446,7 @@ def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
     if isinstance(result, CmViolation):
         raise InvalidInput("input pair set is not gamma-cyclically monotonic")
     if gamma == 1:
-        return pairs
+        return pairs  # `result` certifies the whole set 1-CM
 
     K = math.floor(1 / t)  # then 1/(2K) <= t <= 1/K
     buckets: list[list[int]] = [[] for _ in range(K)]
@@ -432,9 +456,7 @@ def prune_to_cm(space: FiniteMetricSpace, pairs: PairSet, mu,
     masses = [sum((mu.atoms.get(pairs[i], Fraction(0)) for i in bucket),
                   Fraction(0)) for bucket in buckets]
     drop = min(range(K), key=lambda k: (masses[k], k))
-    keep = tuple(pairs[i] for i in range(len(pairs))
-                 if i not in set(buckets[drop]))
-    final = check_gamma_cm(space, keep, Fraction(1))
-    if isinstance(final, CmViolation):
-        raise SoundnessError("pruned set is not cyclically monotonic")
+    dropped = set(buckets[drop])
+    keep = tuple(pair for i, pair in enumerate(pairs) if i not in dropped)
+    replay_prune(space, pairs, mu, gamma, n, keep)
     return keep

@@ -2,7 +2,14 @@
 
 Each payload is self-contained (it embeds the space and the inputs it
 certifies), serialises rationals as ``"p/q"`` strings, and can be
-replayed by :func:`verify_payload` without re-running any search.
+replayed by :func:`verify_payload` without re-running any search.  Every
+payload format is built here.  `verify_payload` checks each certificate
+with the one replay its builder ran before returning it:
+`CmCertificate.replay` / `CmViolation.replay`, `monotone.replay_witness`,
+`DualNormResult.replay`, `SliceDiameterResult.replay`,
+`d2p.replay_two_sided` (LD2P, SD2P, found 2-Lip-LTP) and
+`monotone.replay_prune`.  Around them it checks only how a payload's
+parts tie to its inputs, and the refutation tables row by row.
 """
 from __future__ import annotations
 
@@ -15,16 +22,16 @@ from .d2p import (Ld2pCertificate, LipLtpInequality, LipLtpWitness,
                   Sd2pCertificate, TwoLipLtpResult, replay_two_sided)
 from .errors import InvalidInput, SoundnessError
 from .functionals import (DualNormResult, OptimalityVerdict, PairMeasure,
-                          SliceDiameterResult, _check_alpha, apply_measure,
-                          measure_from_json, measure_to_json, positivize)
+                          SliceDiameterResult, _check_alpha, measure_from_json,
+                          measure_to_json, positivize)
 from .lipschitz import (LipschitzFunction, function_from_json, function_to_json,
-                        in_unit_ball, slope)
+                        in_unit_ball)
 from .metric import (FiniteMetricSpace, Pair, PairSet, ValidationReport,
-                     build_example52, make_pair_set, parse_rational,
-                     rational_str, space_from_json, space_to_json,
-                     validate_metric)
-from .monotone import (CmCertificate, CmResult, CmViolation, _prune_threshold,
-                       check_gamma, check_gamma_cm, cycle_sum)
+                     _literal_parser, build_example52, make_pair_set,
+                     parse_rational, rational_str, space_from_json,
+                     space_to_json, validate_metric)
+from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma,
+                       cycle_sum, replay_prune, replay_witness)
 
 
 def frac(x) -> str:
@@ -217,6 +224,15 @@ def sd2p_payload(mu_list, cert: Sd2pCertificate) -> dict:
     }
 
 
+def sd2p_absent_payload(mu_list, gamma, log) -> dict:
+    return {
+        "kind": "sd2p-absent",
+        "space": space_to_json(mu_list[0].space),
+        "gamma": frac(gamma),
+        "scanned": log.scanned,
+    }
+
+
 def prune_payload(space, pairs, mu, gamma, n, kept: PairSet) -> dict:
     return {
         "kind": "prune",
@@ -271,24 +287,6 @@ def _replay_cm(space: FiniteMetricSpace, body: dict) -> str:
     return f"negative cycle replayed, deficit {viol.deficit}"
 
 
-def _ratio_parser():
-    """`parse_rational` as (p, q) in lowest terms, with a memo of the
-    ``str`` literals it has parsed, as `metric._literal_parser` keeps one
-    of Fractions.  Make one per load."""
-    memo: dict[str, tuple[int, int]] = {}
-
-    def ratio(x) -> tuple[int, int]:
-        if type(x) is not str:
-            q = parse_rational(x)
-            return q.numerator, q.denominator
-        pq = memo.get(x)
-        if pq is None:
-            q = parse_rational(x)
-            pq = memo[x] = (q.numerator, q.denominator)
-        return pq
-    return ratio
-
-
 def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
     """Replay a lip-ltp body on `space` through `LipLtpInequality`.
 
@@ -316,7 +314,7 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
     violations = body["violations"]
     den = form.denominator
     covered = set()
-    ratio = _ratio_parser()
+    parse = _literal_parser()
     for viol in violations:  # `_ok` inlined: this loop runs once per row
         u, v = viol["candidate"]
         covered.add((u, v))
@@ -324,7 +322,8 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
         if x is None or y is None:
             raise SoundnessError("violation row leaves the subset")
         lhs, rhs = form.sides(space.index(u), space.index(v), x, y)
-        (p, q), (r, t) = ratio(viol["lhs"]), ratio(viol["rhs"])
+        p, q = parse(viol["lhs"]).as_integer_ratio()
+        r, t = parse(viol["rhs"]).as_integer_ratio()
         if lhs * q != p * den or rhs * t != r * den:
             raise SoundnessError("violation row does not recompute")
         if lhs <= rhs:
@@ -413,20 +412,17 @@ def _replay_payload(payload: dict) -> str:
         return _replay_cm(space, payload)
 
     if kind == "cm-witness":
-        f = function_from_json(space, payload["function"])
-        gamma = parse_rational(payload["gamma"])
-        _ok(in_unit_ball(f), "witness escapes the unit ball")
-        for pair in pairs_from_json(space, payload["pairs"]):
-            _ok(slope(f, pair) >= gamma, f"slope below gamma at {pair}")
+        replay_witness(pairs_from_json(space, payload["pairs"]),
+                       parse_rational(payload["gamma"]),
+                       function_from_json(space, payload["function"]))
         return "witness function replayed"
 
     if kind == "dual-norm":
-        mu = measure_from_json(space, payload["measure"])
-        f = function_from_json(space, payload["maximizer"])
-        norm = parse_rational(payload["norm"])
-        _ok(in_unit_ball(f), "maximizer escapes the unit ball")
-        _ok(apply_measure(mu, f) == norm, "maximizer does not attain the norm")
-        return f"norm attainment replayed at {norm}"
+        result = DualNormResult(
+            parse_rational(payload["norm"]),
+            function_from_json(space, payload["maximizer"]), payload["method"])
+        result.replay(measure_from_json(space, payload["measure"]))
+        return f"norm attainment replayed at {result.norm}"
 
     if kind == "optimality":
         mu = measure_from_json(space, payload["measure"])
@@ -454,18 +450,14 @@ def _replay_payload(payload: dict) -> str:
         return "positivization replayed"
 
     if kind == "slice-diameter":
-        mu = measure_from_json(space, payload["measure"])
         alpha = _check_alpha(parse_rational(payload["alpha"]))
-        diam = parse_rational(payload["supremal_diameter"])
-        f = function_from_json(space, payload["f"])
-        g = function_from_json(space, payload["g"])
-        u, v = _pair_from_json(space, payload["pair"])
-        for h in (f, g):
-            _ok(in_unit_ball(h), "slice member escapes the unit ball")
-            _ok(apply_measure(mu, h) >= 1 - alpha, "member misses the slice")
-        _ok(slope(f, (u, v)) - slope(g, (u, v)) == diam,
-            "claimed diameter not attained by (f, g)")
-        return f"slice diameter lower bound {diam} replayed"
+        result = SliceDiameterResult(
+            parse_rational(payload["supremal_diameter"]),
+            _pair_from_json(space, payload["pair"]),
+            function_from_json(space, payload["f"]),
+            function_from_json(space, payload["g"]), payload["method"])
+        result.replay(measure_from_json(space, payload["measure"]), alpha)
+        return f"slice diameter lower bound {result.diameter} replayed"
 
     if kind == "lip-ltp":
         return _replay_lip_ltp(space, payload)
@@ -490,7 +482,7 @@ def _replay_payload(payload: dict) -> str:
                 total = cycle_sum(space, aug, tuple(entry["cycle"]), gamma)
                 _ok(total < 0, "logged cycle is not negative")
             return f"{len(failures)} failure rows replayed"
-        u, v = payload["pair"]
+        u, v = _pair_from_json(space, payload["pair"])
         replay_two_sided(pairs, gamma, u, v,
                          function_from_json(space, payload["f"]),
                          function_from_json(space, payload["g"]))
@@ -521,13 +513,7 @@ def _replay_payload(payload: dict) -> str:
         n = payload["bound"]
         if type(n) is not int:
             raise InvalidInput(f"the bound must be an integer, got {n!r}")
-        t = _prune_threshold(space, mu, gamma, n)
-        _ok(set(kept) <= set(pairs), "kept set is not a subset")
-        verdict = check_gamma_cm(space, kept, Fraction(1))
-        _ok(isinstance(verdict, CmCertificate), "kept set is not 1-CM")
-        slack = 2 * t * mu.total_mass()
-        _ok(mu.mass_of(kept) >= mu.mass_of(pairs) - slack,
-            "mass bound fails")
+        replay_prune(space, pairs, mu, gamma, n, kept)
         return f"pruned set replayed, kept {len(kept)} of {len(pairs)} pairs"
 
     raise InvalidInput(f"unknown payload kind {kind!r}")

@@ -423,6 +423,94 @@ def test_verify_rejects_g_replaced_by_f(files, capsys, tmp_path):
         assert _verify_code(capsys, tmp_path, payload) == 1, argv
 
 
+def test_verify_refuses_a_degenerate_or_unknown_two_sided_pair(
+        files, capsys, tmp_path):
+    """A found two-lip-ltp pair [x, x] or with an unknown label, and an
+    ld2p-certificate with u == v, end with exit 1 and an `error:` line:
+    on a degenerate pair every slope inequality would hold as 0 >= 0."""
+    m = files("m.json", LINE3_JSON)
+    mu = files("mu.json", DESCENT_MEASURE)
+    one = files("one.json", {"pairs": [["1", "0"]]})
+    _, two = run_json(capsys, ["two-lip-ltp", "--eps", "1/2",
+                               "--pairs", one, m])
+    _, ld2p = run_json(capsys, ["ld2p-cert", "--gamma", "1/2", mu,
+                                "--metric", m])
+    two, ld2p = two["payload"], ld2p["payload"]
+    assert _verify_code(capsys, tmp_path, two) == 0
+    assert _verify_code(capsys, tmp_path, ld2p) == 0
+    u = two["pair"][0]
+    tampered = [dict(two, pair=[x, x]) for x in ("0", "1", "2")]
+    tampered += [dict(two, pair=[u, "9"]), dict(ld2p, v=ld2p["u"])]
+    for payload in tampered:
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"payload": payload}))
+        assert main(["verify", str(path)]) == 1, payload
+        assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def test_verify_refuses_a_witness_gamma_outside_the_unit_interval(
+        files, capsys, tmp_path):
+    """`replay_witness` needs gamma in (0, 1], as the commands do: with
+    gamma = -5, or eps = 3 (gamma = 1 - eps = -2), every slope bound is
+    weaker than any claim the commands make."""
+    m = files("m.json", LINE3_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    one = files("one.json", {"pairs": [["1", "0"]]})
+    _, witness = run_json(capsys, ["witness", "--gamma", "1", "--pairs", p,
+                                   m])
+    _, two = run_json(capsys, ["two-lip-ltp", "--eps", "1/2",
+                               "--pairs", one, m])
+    for payload in (dict(witness["payload"], gamma="-5"),
+                    dict(two["payload"], eps="3")):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"payload": payload}))
+        assert main(["verify", str(path)]) == 1, payload
+        assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def _raise_last_value(payload):
+    values = payload["function"]["values"]
+    values["2"] = str(Fraction(values["2"]) + 1)
+
+
+def _double_maximizer(payload):
+    values = payload["maximizer"]["values"]
+    for p in values:
+        values[p] = str(2 * Fraction(values[p]))
+
+
+def _g_equal_f(payload):
+    payload["g"] = payload["f"]
+
+
+def _keep_a_stranger(payload):
+    payload["kept"].append(["0", "2"])
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    (["witness", "--gamma", "1", "--pairs", "@p", "@m"], _raise_last_value),
+    (["norm", "@mu", "--metric", "@m"], _double_maximizer),
+    (["slice-diam", "--alpha", "1/2", "@unit", "--metric", "@m"], _g_equal_f),
+    (["prune-cm", "--gamma", "3/4", "--bound", "2", "--pairs", "@p", "@mu",
+      "--metric", "@m"], _keep_a_stranger),
+], ids=["cm-witness", "dual-norm", "slice-diameter", "prune"])
+def test_verify_refuses_what_the_shared_replay_refuses(files, capsys, tmp_path,
+                                                       argv, tamper):
+    """One tamper per replay that the builder and `verify` share."""
+    inputs = {"m": files("m.json", LINE3_JSON),
+              "p": files("p.json", DESCENT_PAIRS),
+              "mu": files("mu.json", DESCENT_MEASURE),
+              "unit": files("unit.json", {"atoms": [
+                  {"from": "1", "to": "0", "weight": "1"}]})}
+    code, report = run_json(capsys, [inputs[a[1:]] if a.startswith("@")
+                                     else a for a in argv])
+    assert code == 0
+    payload = report["payload"]
+    assert _verify_code(capsys, tmp_path, payload) == 0
+    tamper(payload)
+    assert _verify_code(capsys, tmp_path, payload) == 1
+
+
 PATH_ABC_JSON = {"points": ["a", "b", "c"], "base": "a",
                  "distances": [["0", "1", "2"], ["1", "0", "1"],
                                ["2", "1", "0"]]}

@@ -6,9 +6,9 @@ import pytest
 from lipcert.errors import InvalidInput
 from lipcert.functionals import (PairMeasure, _apsp_with_slice, _ball_lp,
                                  _measure_objective, _point_to_function,
-                                 apply_measure, check_norm_attainment_signed,
-                                 dual_norm, is_optimal, measure_from_json,
-                                 measure_to_json, positivize, slice_diameter)
+                                 apply_measure, dual_norm, is_optimal,
+                                 measure_from_json, measure_to_json,
+                                 positivize, slice_diameter)
 from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
 from lipcert.lpcore import solve_lp
 from lipcert.metric import FiniteMetricSpace, build_line
@@ -147,68 +147,7 @@ def test_star_measures_are_optimal(rng):
         mu = star_optimal_measure(rng, space)
         assert mu.total_mass() == 1
         assert is_optimal(mu).optimal
-        assert dual_norm(mu).norm == 1
-
-
-# ---------------------------------------------------------------------------
-# Signed norm attainment
-
-def test_signed_attainment_single_atom():
-    res = check_norm_attainment_signed(PairMeasure(LINE3, {("2", "0"): 1}),
-                                       Fraction(9, 10))
-    assert res.success and res.pair_set == (("2", "0"),)
-    assert lip_norm(res.witness) <= 1
-
-
-def test_signed_attainment_with_negative_reflection():
-    nu = PairMeasure(LINE3, {("0", "2"): 1, ("2", "0"): -1})
-    for gamma in (Fraction(1, 4), HALF, Fraction(99, 100)):
-        res = check_norm_attainment_signed(nu, gamma)
-        assert res.success
-        assert res.pair_set == (("0", "2"),)
-
-
-def test_signed_attainment_matches_exhaustive_search(rng):
-    from itertools import combinations
-
-    from lipcert.metric import make_pair_set, reflect, reflect_set
-
-    for _ in range(20):
-        space = random_space(rng, 5)
-        nu = random_signed_measure(rng, space, 4)
-        gamma = rng.choice([Fraction(1, 4), HALF, Fraction(3, 4)])
-        res = check_norm_attainment_signed(nu, gamma)
-        pos, neg = nu.positive_part(), nu.negative_part()
-        pool = make_pair_set(space, tuple(pos) + reflect_set(tuple(neg)))
-
-        def score(sub):
-            return sum((pos.get(p, Fraction(0))
-                        + neg.get(reflect(p), Fraction(0)) for p in sub),
-                       Fraction(0))
-
-        exists = any(
-            score(sub) >= gamma * nu.total_variation()
-            and isinstance(check_gamma_cm(space, sub, gamma), CmCertificate)
-            for k in range(len(pool) + 1)
-            for sub in combinations(pool, k))
-        assert res.success == exists
-        if res.success:
-            assert score(res.pair_set) >= gamma * nu.total_variation()
-            assert isinstance(check_gamma_cm(space, res.pair_set, gamma),
-                              CmCertificate)
-            assert lip_norm(res.witness) <= 1
-            assert all(slope(res.witness, p) >= gamma for p in res.pair_set)
-
-
-def test_optimal_measure_attains_at_every_gamma(rng):
-    """Norm attainment (dual norm = total variation) yields a witnessing
-    subset at every gamma below one."""
-    for _ in range(10):
-        space = random_space(rng, 6)
-        nu = star_optimal_measure(rng, space)
-        assert dual_norm(nu).norm == nu.total_variation()
-        for gamma in (HALF, Fraction(99, 100)):
-            assert check_norm_attainment_signed(nu, gamma).success
+        assert dual_norm(mu).norm == mu.total_variation() == 1
 
 
 # ---------------------------------------------------------------------------

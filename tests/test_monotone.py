@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure
-from lipcert.lipschitz import lip_norm, slope
+from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
 from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 from lipcert.monotone import (CmCertificate, CmViolation, beta,
                               brute_force_cm_oracle, check_augmented,
                               check_gamma_cm, cycle_sum, prune_to_cm,
-                              synthesize_witness)
+                              replay_witness, synthesize_witness)
 
-from conftest import random_pairs, random_positive_measure, random_space
+from conftest import (random_ball_function, random_pairs,
+                      random_positive_measure, random_space)
 
 LINE3 = build_line(3)
 HALF = Fraction(1, 2)
@@ -288,6 +289,49 @@ def test_witness_from_tampered_potentials_is_sound_or_refused(seed, gamma):
         return
     assert lip_norm(f) <= 1
     assert all(slope(f, pair) >= gamma for pair in pairs)
+
+
+@st.composite
+def witness_candidates(draw):
+    """A random space with rational distances; f a ball function (often of
+    norm exactly one) stretched by 9/10, 1 or 11/10; gamma one of f's own
+    slopes or k/8; pairs mostly drawn from those where f is steep."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    space = random_space(rng, 6)
+    stretch = draw(st.sampled_from([Fraction(9, 10), Fraction(1),
+                                    Fraction(11, 10)]))
+    f = LipschitzFunction(space, {
+        p: stretch * v
+        for p, v in random_ball_function(rng, space).values.items()})
+    pool = list(space.pairs())
+    slopes = sorted({slope(f, p) for p in pool if 0 < slope(f, p) <= 1})
+    if slopes and draw(st.booleans()):
+        gamma = draw(st.sampled_from(slopes))
+    else:
+        gamma = Fraction(draw(st.integers(1, 8)), 8)
+    steep = [p for p in pool if slope(f, p) >= gamma]
+    pairs = tuple(rng.sample(steep, draw(st.integers(0, min(4, len(steep))))))
+    if draw(st.booleans()):
+        pairs += (draw(st.sampled_from(pool)),)
+    return space, pairs, gamma, f, draw(st.sampled_from(space.points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_candidates())
+def test_replay_witness_is_the_ball_and_slope_check(case):
+    """Accepts exactly when lip_norm(f) <= 1 and every slope is >= gamma;
+    a degenerate or unknown pair is invalid input whatever f is."""
+    space, pairs, gamma, f, p = case
+    try:
+        replay_witness(pairs, gamma, f)
+        accepted = True
+    except SoundnessError:
+        accepted = False
+    assert accepted == (lip_norm(f) <= 1
+                        and all(slope(f, pair) >= gamma for pair in pairs))
+    for bad in ((p, p), (p, "nowhere")):
+        with pytest.raises(InvalidInput):
+            replay_witness(pairs + (bad,), gamma, f)
 
 
 # ---------------------------------------------------------------------------
