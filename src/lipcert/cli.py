@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 = property holds / certificate found, 2 = property refuted
-or search exhausted (with an audit payload), 1 = input or internal error.
-Reports are JSON (``--format json``) or a short text rendering; the
-certificate body is deterministic for identical inputs.
+or search exhausted (with an audit payload), 1 = input or internal error,
+or a report that `verify` rejects.  Reports are JSON (``--format json``)
+or a short text rendering; the certificate body is deterministic for
+identical inputs.  Each command builds a payload and hands it to `emit`,
+which takes the verdict, exit code and inputs hash from
+`reports.envelope`.
 """
 from __future__ import annotations
 
@@ -26,14 +29,15 @@ from .metric import (FiniteMetricSpace, _common_scale, builtin_space,
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
 
-EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_REFUTED = 2
 
 EXAMPLE52_EPS = Fraction(1, 14)
 # The hand-built norm-one function used in the w*-D2P refutation: 0 on
 # x1 and y3, 1/2 on y2, 3/2 on y1 and x3, 2 on x2, 1 on every detour point.
 EXAMPLE52_N = ("x1", "x2", "x3", "y1", "y2", "y3")
+# The closing text line of `example52 --part all`, by verdict.
+EXAMPLE52_SUMMARY = {"reproduced": "separating example reproduced",
+                     "not-reproduced": "separating example NOT reproduced"}
 
 
 def example52_function(space: FiniteMetricSpace) -> LipschitzFunction:
@@ -188,29 +192,26 @@ class _IndentEncoder(json.JSONEncoder):
         return "".join(chunks)
 
 
-def emit(args, verdict: str, payload: dict, exit_code: int,
-         started: float, text_lines: list[str]) -> int:
+def emit(args, payload: dict, started: float, text_lines: list[str]) -> int:
+    """Print the report around `payload`; return its exit code.  The
+    verdict, exit code and inputs hash come from `reports.envelope`."""
+    envelope = reports.envelope(payload)
     report = {
         "command": getattr(args, "argv_echo", [args.cmd]),
-        "inputs_sha256": reports.canonical_hash(
-            {k: payload.get(k) for k in ("space", "measure", "measures",
-                                         "pairs", "function", "subset",
-                                         "gamma", "eps", "alpha", "bound")}),
-        "verdict": verdict,
-        "exit_code": exit_code,
+        **envelope,
         "payload": payload,
         "elapsed_seconds": round(time.monotonic() - started, 6),
     }
     if args.format == "json":
         print(json.dumps(report, indent=2, cls=_IndentEncoder))
     else:
-        print(f"[{verdict}]")
+        print(f"[{envelope['verdict']}]")
         for line in text_lines:
             print(" ", line)
     if args.emit_proof:
         with open(args.emit_proof, "w") as fh:
             fh.write(render_proof(payload))
-    return exit_code
+    return envelope["exit_code"]
 
 
 def render_proof(payload: dict) -> str:
@@ -263,23 +264,20 @@ def _two_sided_proof(space, payload, pairs, gamma, u, v) -> list[str]:
 def cmd_validate(args, started) -> int:
     space = _read_space(args)
     report = validate_metric(space)
-    payload = reports.validation_payload(space, report)
-    code = EXIT_OK if report.ok else EXIT_REFUTED
-    return emit(args, "ok" if report.ok else "invalid-metric", payload, code,
-                started, [report.message])
+    return emit(args, reports.validation_payload(space, report), started,
+                [report.message])
 
 
 def cmd_check_cm(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
     result = check_gamma_cm(space, pairs, _rational(args, "gamma"))
-    payload = reports.cm_result_payload(space, result)
     if isinstance(result, CmCertificate):
-        return emit(args, "certificate", payload, EXIT_OK, started,
-                    [f"{len(pairs)} pairs are {result.gamma}-cyclically "
-                     "monotonic"])
-    return emit(args, "violation", payload, EXIT_REFUTED, started,
-                [f"negative cycle {result.cycle}, deficit {result.deficit}"])
+        line = f"{len(pairs)} pairs are {result.gamma}-cyclically monotonic"
+    else:
+        line = f"negative cycle {result.cycle}, deficit {result.deficit}"
+    return emit(args, reports.cm_result_payload(space, result), started,
+                [line])
 
 
 def cmd_witness(args, started) -> int:
@@ -287,22 +285,21 @@ def cmd_witness(args, started) -> int:
     pairs = _load_pairs(space, args.pairs)
     gamma = _rational(args, "gamma")
     result = check_gamma_cm(space, pairs, gamma)
-    if not isinstance(result, CmCertificate):
+    if isinstance(result, CmCertificate):
+        f = synthesize_witness(space, pairs, gamma, result)
+        payload = reports.witness_payload(space, pairs, gamma, f)
+        line = "unit-ball witness synthesized"
+    else:
         payload = reports.cm_result_payload(space, result)
-        return emit(args, "violation", payload, EXIT_REFUTED, started,
-                    [f"no witness: negative cycle {result.cycle}"])
-    f = synthesize_witness(space, pairs, gamma, result)
-    payload = reports.witness_payload(space, pairs, gamma, f)
-    return emit(args, "witness", payload, EXIT_OK, started,
-                ["unit-ball witness synthesized"])
+        line = f"no witness: negative cycle {result.cycle}"
+    return emit(args, payload, started, [line])
 
 
 def cmd_norm(args, started) -> int:
     space = _load_space(args)
     mu = _load_measure(space, args.measure)
     result = functionals.dual_norm(mu)
-    payload = reports.norm_payload(mu, result)
-    return emit(args, "ok", payload, EXIT_OK, started,
+    return emit(args, reports.norm_payload(mu, result), started,
                 [f"dual norm = {result.norm} ({result.method})"])
 
 
@@ -310,20 +307,17 @@ def cmd_optimal(args, started) -> int:
     space = _load_space(args)
     mu = _load_measure(space, args.measure)
     verdict = functionals.is_optimal(mu)
-    payload = reports.optimality_payload(mu, verdict)
-    if verdict.optimal:
-        return emit(args, "optimal", payload, EXIT_OK, started,
-                    ["support is cyclically monotonic; norm attained"])
-    return emit(args, "not-optimal", payload, EXIT_REFUTED, started,
-                [f"norm gap {verdict.gap}"])
+    line = ("support is cyclically monotonic; norm attained"
+            if verdict.optimal else f"norm gap {verdict.gap}")
+    return emit(args, reports.optimality_payload(mu, verdict), started,
+                [line])
 
 
 def cmd_positivize(args, started) -> int:
     space = _load_space(args)
     nu = _load_measure(space, args.measure)
     mu = functionals.positivize(nu)
-    payload = reports.positivize_payload(nu, mu)
-    return emit(args, "ok", payload, EXIT_OK, started,
+    return emit(args, reports.positivize_payload(nu, mu), started,
                 [f"{len(mu.atoms)} positive atoms, total variation "
                  f"{mu.total_variation()}"])
 
@@ -338,8 +332,7 @@ def cmd_slice_diam(args, started) -> int:
             raise InvalidInput("cannot normalize a null functional")
         mu = mu.scaled(1 / norm)
     result = functionals.slice_diameter(mu, alpha)
-    payload = reports.slice_payload(mu, alpha, result)
-    return emit(args, "ok", payload, EXIT_OK, started,
+    return emit(args, reports.slice_payload(mu, alpha, result), started,
                 [f"supremal diameter {result.diameter} at pair {result.pair}"])
 
 
@@ -349,25 +342,21 @@ def cmd_lip_ltp(args, started) -> int:
     f = function_from_json(space, _read_json(args.function))
     eps = _rational(args, "eps")
     result = d2p.lip_ltp_witness(space, subset, eps, f)
-    payload = reports.lip_ltp_payload(space, subset, eps, f, result)
-    if result.found:
-        return emit(args, "witness", payload, EXIT_OK, started,
-                    [f"compatible pair {result.pair}"])
-    return emit(args, "absent", payload, EXIT_REFUTED, started,
-                [f"no compatible pair; {len(result.violations)} violation "
-                 "rows recorded"])
+    line = (f"compatible pair {result.pair}" if result.found
+            else f"no compatible pair; {len(result.violations)} violation "
+                 "rows recorded")
+    return emit(args, reports.lip_ltp_payload(space, subset, eps, f, result),
+                started, [line])
 
 
 def cmd_two_lip_ltp(args, started) -> int:
     space = _load_space(args)
     pairs = _load_pairs(space, args.pairs)
     result = d2p.two_lip_ltp_witness(space, pairs, _rational(args, "eps"))
-    payload = reports.two_lip_ltp_payload(space, pairs, result)
-    if result.found:
-        return emit(args, "witness", payload, EXIT_OK, started,
-                    [f"pair {result.pair} works for both directions"])
-    return emit(args, "absent", payload, EXIT_REFUTED, started,
-                [f"{len(result.failures)} candidates failed"])
+    line = (f"pair {result.pair} works for both directions" if result.found
+            else f"{len(result.failures)} candidates failed")
+    return emit(args, reports.two_lip_ltp_payload(space, pairs, result),
+                started, [line])
 
 
 def cmd_ld2p_cert(args, started) -> int:
@@ -375,15 +364,15 @@ def cmd_ld2p_cert(args, started) -> int:
     mu = _load_measure(space, args.measure)
     gamma = _rational(args, "gamma")
     outcome = d2p.ld2p_certificate(mu, gamma)
-    if outcome.certificate is not None:
-        payload = reports.ld2p_payload(mu, outcome.certificate)
-        return emit(args, "certificate", payload, EXIT_OK, started,
-                    [f"pair ({outcome.certificate.u}, "
-                     f"{outcome.certificate.v}), set of "
-                     f"{len(outcome.certificate.pair_set)} pairs"])
-    payload = reports.ld2p_absent_payload(mu, gamma, outcome.log)
-    return emit(args, "absent", payload, EXIT_REFUTED, started,
-                [f"exhausted after scanning {outcome.log.scanned} candidates"])
+    cert = outcome.certificate
+    if cert is not None:
+        payload = reports.ld2p_payload(mu, cert)
+        line = (f"pair ({cert.u}, {cert.v}), set of {len(cert.pair_set)} "
+                "pairs")
+    else:
+        payload = reports.ld2p_absent_payload(mu, gamma, outcome.log)
+        line = f"exhausted after scanning {outcome.log.scanned} candidates"
+    return emit(args, payload, started, [line])
 
 
 def cmd_sd2p_cert(args, started) -> int:
@@ -391,14 +380,14 @@ def cmd_sd2p_cert(args, started) -> int:
     mu_list = [_load_measure(space, path) for path in args.measures]
     gamma = _rational(args, "gamma")
     outcome = d2p.sd2p_certificate(mu_list, gamma)
-    if outcome.certificate is not None:
-        payload = reports.sd2p_payload(mu_list, outcome.certificate)
-        return emit(args, "certificate", payload, EXIT_OK, started,
-                    [f"common pair ({outcome.certificate.u}, "
-                     f"{outcome.certificate.v})"])
-    payload = reports.sd2p_absent_payload(mu_list, gamma, outcome.log)
-    return emit(args, "absent", payload, EXIT_REFUTED, started,
-                ["no common pair found"])
+    cert = outcome.certificate
+    if cert is not None:
+        payload = reports.sd2p_payload(mu_list, cert)
+        line = f"common pair ({cert.u}, {cert.v})"
+    else:
+        payload = reports.sd2p_absent_payload(mu_list, gamma, outcome.log)
+        line = "no common pair found"
+    return emit(args, payload, started, [line])
 
 
 def cmd_prune_cm(args, started) -> int:
@@ -408,7 +397,7 @@ def cmd_prune_cm(args, started) -> int:
     gamma = _rational(args, "gamma")
     kept = prune_to_cm(space, pairs, mu, gamma, args.bound)
     payload = reports.prune_payload(space, pairs, mu, gamma, args.bound, kept)
-    return emit(args, "ok", payload, EXIT_OK, started,
+    return emit(args, payload, started,
                 [f"kept {len(kept)} of {len(pairs)} pairs"])
 
 
@@ -417,10 +406,9 @@ def cmd_verify(args, started) -> int:
     if not isinstance(report, dict):
         raise InvalidInput(f"{args.report} does not hold a report object")
     payload = report.get("payload", report)
-    summary = reports.verify_payload(payload)
-    return emit(args, "verified", {"kind": "verify", "summary": summary,
-                                   "space": payload.get("space")},
-                EXIT_OK, started, [summary])
+    summary = reports.verify_payload(payload, report)
+    return emit(args, {"kind": "verify", "summary": summary,
+                       "space": payload.get("space")}, started, [summary])
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +473,12 @@ def cmd_example52(args, started) -> int:
     payload: dict = {"kind": "example52", "levels": args.levels,
                      "space": reports.space_to_json(space)}
     lines: list[str] = []
-    wstar_absent = None
-    ld2p_all_found = None
 
     if args.part in ("w-d2p", "all"):
         f = example52_function(space)
         result = d2p.lip_ltp_witness(space, EXAMPLE52_N, EXAMPLE52_EPS, f)
         payload["w_d2p"] = reports.lip_ltp_payload(
             space, EXAMPLE52_N, EXAMPLE52_EPS, f, result)
-        wstar_absent = not result.found
         if result.found:
             lines.append(f"unexpected compatible pair {result.pair}: the "
                          "refutation FAILED")
@@ -509,23 +494,12 @@ def cmd_example52(args, started) -> int:
         payload["ld2p"] = {"gamma": reports.frac(gamma), "seed": seed,
                            "total": len(results), "certified": found,
                            "runs": results}
-        ld2p_all_found = found == len(results)
         lines.append(f"LD2P battery: {found}/{len(results)} certificates "
                      f"at gamma = {gamma}")
 
-    if args.part == "w-d2p":
-        code = EXIT_REFUTED if wstar_absent else EXIT_OK
-        verdict = "absent" if wstar_absent else "witness"
-    elif args.part == "ld2p":
-        code = EXIT_OK if ld2p_all_found else EXIT_REFUTED
-        verdict = "certificate" if ld2p_all_found else "absent"
-    else:
-        reproduced = bool(wstar_absent) and bool(ld2p_all_found)
-        code = EXIT_OK if reproduced else EXIT_REFUTED
-        verdict = "reproduced" if reproduced else "not-reproduced"
-        lines.append("separating example reproduced" if reproduced
-                     else "separating example NOT reproduced")
-    return emit(args, verdict, payload, code, started, lines)
+    if args.part == "all":
+        lines.append(EXAMPLE52_SUMMARY[reports.verdict_of(payload)[0]])
+    return emit(args, payload, started, lines)
 
 
 # ---------------------------------------------------------------------------

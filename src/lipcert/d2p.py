@@ -3,9 +3,12 @@
 The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
 step and one replay, `replay_two_sided`, run by the searches, `verify`
 and `--emit-proof`.  It is two calls of `monotone.replay_witness`, the
-one check of "unit ball and slope >= gamma across pairs"; a replay
-failure raises `SoundnessError`.  A negative answer (ABSENT) carries an
-audit log of every candidate and its failure.
+one check of "unit ball and slope >= gamma across pairs".  A replay
+failure raises `SoundnessError`: in a search it is a bug, and `verify`
+reports it as a rejected report.  `Ld2pCertificate.replay` checks that
+gamma lies in (0, 1] before it checks the mass of the selected pair
+set.  A negative answer (ABSENT) carries an audit log of every candidate
+and its failure.
 
 The Lip-LTP inequality (1 - eps)(|f(x) - f(y)| + d(u, v)) > d(x, u) +
 d(y, v) is compiled once onto integers by `LipLtpInequality`: with
@@ -222,7 +225,10 @@ class Ld2pCertificate:
     gamma: Fraction
 
     def replay(self, mu: PairMeasure) -> None:
-        """mu(pair_set) >= gamma * mu(M~), then `replay_two_sided`."""
+        """gamma in (0, 1], mu(pair_set) >= gamma * mu(M~), then
+        `replay_two_sided`.  gamma goes first: a gamma out of range is
+        `InvalidInput`, not a mass shortfall."""
+        check_gamma(self.gamma)
         if mu.mass_of(self.pair_set) < self.gamma * mu.total_mass():
             raise SoundnessError("selected pair set carries too little mass")
         replay_two_sided(self.pair_set, self.gamma, self.u, self.v,

@@ -10,6 +10,14 @@ with the one replay its builder ran before returning it:
 `d2p.replay_two_sided` (LD2P, SD2P, found 2-Lip-LTP) and
 `monotone.replay_prune`.  Around them it checks only how a payload's
 parts tie to its inputs, and the refutation tables row by row.
+
+The envelope of a report is decided here too.  `envelope` returns the
+hash of a payload's inputs (`INPUT_FIELDS`) and its verdict and exit code
+from the one table `VERDICTS`.  The CLI's `emit` writes it, and
+`verify_payload` requires a report's envelope to equal it.  A replay
+that fails inside `verify_payload`, or an envelope that differs, is
+`InvalidInput` starting with "report rejected:": the report is at fault,
+not the program.
 """
 from __future__ import annotations
 
@@ -59,6 +67,80 @@ def _pair_from_json(space: FiniteMetricSpace, raw) -> Pair:
 def canonical_hash(obj: Any) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The report envelope
+
+EXIT_OK = 0        # the property holds, or a certificate was found
+EXIT_REFUTED = 2   # the property is refuted, or the search is exhausted
+
+# Payload kind -> (verdict, exit code).  A kind whose outcome is one
+# boolean field of its payload maps instead to (field, verdict when it is
+# true, verdict when it is false); true exits 0 and false exits 2.
+# `example52` is derived from its parts by `_example52_verdict`.
+VERDICTS = {
+    "validation": ("ok", "ok", "invalid-metric"),
+    "cm-certificate": ("certificate", EXIT_OK),
+    "cm-violation": ("violation", EXIT_REFUTED),
+    "cm-witness": ("witness", EXIT_OK),
+    "dual-norm": ("ok", EXIT_OK),
+    "optimality": ("optimal", "optimal", "not-optimal"),
+    "positivize": ("ok", EXIT_OK),
+    "slice-diameter": ("ok", EXIT_OK),
+    "lip-ltp": ("found", "witness", "absent"),
+    "two-lip-ltp": ("found", "witness", "absent"),
+    "ld2p-certificate": ("certificate", EXIT_OK),
+    "ld2p-absent": ("absent", EXIT_REFUTED),
+    "sd2p-certificate": ("certificate", EXIT_OK),
+    "sd2p-absent": ("absent", EXIT_REFUTED),
+    "prune": ("ok", EXIT_OK),
+    "verify": ("verified", EXIT_OK),
+}
+
+# The payload fields that hold a report's inputs, hashed into
+# `inputs_sha256`; a field the payload lacks hashes as null.
+INPUT_FIELDS = ("space", "measure", "measures", "pairs", "function", "subset",
+                "gamma", "eps", "alpha", "bound")
+
+
+def verdict_of(payload: dict) -> tuple[str, int]:
+    """The verdict and exit code of a report around `payload`."""
+    kind = payload["kind"]
+    if kind == "example52":
+        return _example52_verdict(payload)
+    entry = VERDICTS[kind]
+    if len(entry) == 2:
+        return entry
+    field, holds, refuted = entry
+    return (holds, EXIT_OK) if payload[field] else (refuted, EXIT_REFUTED)
+
+
+def _example52_verdict(payload: dict) -> tuple[str, int]:
+    """The w*-D2P part alone carries the verdict of its lip-ltp report;
+    the LD2P battery alone is "certificate" when every run found one;
+    both are "reproduced" when the lip-ltp report is absent and every run
+    found a certificate."""
+    battery = payload.get("ld2p")
+    certified = (battery is not None
+                 and battery["certified"] == battery["total"])
+    if "w_d2p" not in payload:
+        return (("certificate", EXIT_OK) if certified
+                else ("absent", EXIT_REFUTED))
+    if battery is None:
+        return verdict_of(payload["w_d2p"])
+    if certified and not payload["w_d2p"]["found"]:
+        return "reproduced", EXIT_OK
+    return "not-reproduced", EXIT_REFUTED
+
+
+def envelope(payload: dict) -> dict:
+    """The fields a report carries around `payload`, in report order: the
+    hash of its inputs, its verdict and its exit code."""
+    verdict, exit_code = verdict_of(payload)
+    return {"inputs_sha256": canonical_hash(
+                {k: payload.get(k) for k in INPUT_FIELDS}),
+            "verdict": verdict, "exit_code": exit_code}
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +457,42 @@ def _replay_example52(space: FiniteMetricSpace, body: dict) -> str:
     return "; ".join(done)
 
 
-def verify_payload(payload: dict) -> str:
+def _check_envelope(report: dict, payload: dict) -> None:
+    """If `report` carries any envelope field, each must equal its value
+    in `envelope(payload)`, type included: an `exit_code` of false is not
+    0."""
+    claims = envelope(payload)
+    if any(field in report for field in claims):
+        for field, want in claims.items():
+            got = report.get(field)
+            _ok(type(got) is type(want) and got == want,
+                f"{field} is {got!r}, but the payload gives {want!r}")
+
+
+def verify_payload(payload: dict, report: dict | None = None) -> str:
     """Replay the invariants of a report payload; return a summary line.
 
-    Raises `SoundnessError` if any replayed inequality fails and
-    `InvalidInput` on malformed payloads: a missing field, a field of the
-    wrong type, an index out of range, or a rational field that does not
-    parse.
+    `report`, if given, is the report around `payload`.  If it carries
+    any of the envelope fields `inputs_sha256`, `verdict` and
+    `exit_code`, each must equal what `envelope` derives from the
+    payload.  A bare payload, or a report without those fields, claims
+    no envelope.
+
+    Raises `InvalidInput` in two ways.  If a replayed inequality fails
+    (the replays raise `SoundnessError`) or the envelope differs, the
+    message starts with "report rejected:".  A malformed payload gets
+    no prefix: a missing field, a field of the wrong type, an index out
+    of range, or a rational field that does not parse.
     """
     if not isinstance(payload, dict):
         raise InvalidInput(f"a payload must be an object, got {payload!r}")
     try:
-        return _replay_payload(payload)
+        summary = _replay_payload(payload)
+        if report is not None:
+            _check_envelope(report, payload)
+        return summary
+    except SoundnessError as exc:
+        raise InvalidInput(f"report rejected: {exc}") from None
     except InvalidInput:
         raise
     except KeyError as exc:

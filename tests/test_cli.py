@@ -99,17 +99,24 @@ def test_slice_normalize_flag(files, capsys):
     assert code == 0
 
 
-def test_verify_round_trips_every_payload(files, capsys, tmp_path):
+def _round_trip_corpus(files, capsys):
+    """One JSON report of every payload kind that `verify` replays, as
+    (argv, report) pairs."""
     m = files("m.json", LINE3_JSON)
     p = files("p.json", DESCENT_PAIRS)
     mu = files("mu.json", DESCENT_MEASURE)
     unit = files("unit.json", {"atoms": [
         {"from": "1", "to": "0", "weight": "1"}]})
+    opposite = files("opp.json", {"atoms": [
+        {"from": "0", "to": "2", "weight": "1"},
+        {"from": "2", "to": "0", "weight": "1"}]})
+    ramp = files("ramp.json", {"values": {"0": "0", "1": "1", "2": "2"}})
     runs = [
         ["check-cm", "--gamma", "1", "--pairs", p, m],
         ["witness", "--gamma", "1", "--pairs", p, m],
         ["norm", mu, "--metric", m],
         ["optimal", mu, "--metric", m],
+        ["optimal", opposite, "--metric", m],
         ["positivize", mu, "--metric", m],
         ["slice-diam", "--alpha", "1/2", unit, "--metric", m],
         ["ld2p-cert", "--gamma", "1/2", mu, "--metric", m],
@@ -117,14 +124,145 @@ def test_verify_round_trips_every_payload(files, capsys, tmp_path):
         ["prune-cm", "--gamma", "3/4", "--bound", "2", "--pairs", p, mu,
          "--metric", m],
         ["two-lip-ltp", "--eps", "1/2", "--pairs", p, m],
+        ["lip-ltp", "--eps", "1/4", "--subset", "0,1,2", "--function", ramp,
+         m],
+        ["example52", "--levels", "1"],
     ]
-    for i, argv in enumerate(runs):
+    corpus = []
+    for argv in runs:
         code, report = run_json(capsys, argv)
         assert code in (0, 2), argv
+        corpus.append((argv, report))
+    return corpus
+
+
+def test_verify_round_trips_every_payload(files, capsys, tmp_path):
+    for i, (argv, report) in enumerate(_round_trip_corpus(files, capsys)):
         path = tmp_path / f"report{i}.json"
         path.write_text(json.dumps(report))
         assert main(["verify", str(path)]) == 0, argv
         capsys.readouterr()
+
+
+def test_verify_rejects_every_tampered_envelope_field(files, capsys,
+                                                      tmp_path):
+    """Each of `verdict`, `exit_code` and `inputs_sha256`, changed on its
+    own and then all three at once, gets the report rejected, whatever
+    its payload kind: the not-optimal report that claims "optimal" with
+    exit 0 replays its payload but not its envelope."""
+    for argv, report in _round_trip_corpus(files, capsys):
+        flipped = {"verdict": "absent" if report["verdict"] != "absent"
+                   else "certificate",
+                   "exit_code": 2 - report["exit_code"],
+                   "inputs_sha256": "0" * 64}
+        edits = [{field: value} for field, value in flipped.items()]
+        edits += [{"exit_code": str(report["exit_code"])}, flipped]
+        for edit in edits:
+            path = tmp_path / "tampered.json"
+            path.write_text(json.dumps(dict(report, **edit)))
+            assert main(["verify", str(path)]) == 1, (argv, edit)
+            err = capsys.readouterr().err
+            assert err.startswith("error: report rejected: ") and any(
+                field in err for field in edit), (argv, edit)
+
+
+def test_verify_blames_the_report_not_the_program(files, capsys, tmp_path):
+    """A witness raised off the unit ball, and an LD2P certificate whose
+    gamma is 2, end with an `error:` line: the report is at fault."""
+    m = files("m.json", LINE3_JSON)
+    _, witness = run_json(capsys, ["witness", "--gamma", "1", "--pairs",
+                                   files("p.json", DESCENT_PAIRS), m])
+    witness["payload"]["function"]["values"]["2"] = "3"
+    _, ld2p = run_json(capsys, ["ld2p-cert", "--gamma", "1/2",
+                                files("mu.json", DESCENT_MEASURE),
+                                "--metric", m])
+    ld2p["payload"]["gamma"] = "2"
+    for report, needle in ((witness, "report rejected: witness escapes the "
+                                     "unit ball"),
+                           (ld2p, "gamma must lie in (0, 1], got 2")):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(report))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+        assert "this is a bug" not in err
+
+
+@pytest.mark.parametrize("argv, env, verdict, exit_code", [
+    (["validate", "@m"], {}, "ok", 0),
+    (["validate", "@triangle"], {}, "invalid-metric", 2),
+    (["check-cm", "--gamma", "1", "--pairs", "@p", "@m"], {},
+     "certificate", 0),
+    (["check-cm", "--gamma", "1/2", "--pairs", "@loop", "@m"], {},
+     "violation", 2),
+    (["witness", "--gamma", "1", "--pairs", "@p", "@m"], {}, "witness", 0),
+    (["witness", "--gamma", "1/2", "--pairs", "@loop", "@m"], {},
+     "violation", 2),
+    (["norm", "@mu", "--metric", "@m"], {}, "ok", 0),
+    (["optimal", "@mu", "--metric", "@m"], {}, "optimal", 0),
+    (["optimal", "@opp", "--metric", "@m"], {}, "not-optimal", 2),
+    (["positivize", "@mu", "--metric", "@m"], {}, "ok", 0),
+    (["slice-diam", "--alpha", "1/2", "@unit", "--metric", "@m"], {},
+     "ok", 0),
+    (["lip-ltp", "--eps", "1/2", "--subset", "0", "--function", "@zero",
+      "@m"], {}, "witness", 0),
+    (["lip-ltp", "--eps", "1/4", "--subset", "0,1,2", "--function", "@ramp",
+      "@m"], {}, "absent", 2),
+    (["two-lip-ltp", "--eps", "1/2", "--pairs", "@one", "@m"], {},
+     "witness", 0),
+    (["two-lip-ltp", "--eps", "1/2", "--pairs", "@p", "@m"], {}, "absent", 2),
+    (["ld2p-cert", "--gamma", "1/2", "@mu", "--metric", "@m"], {},
+     "certificate", 0),
+    (["ld2p-cert", "--gamma", "9/10", "@atom02", "--metric", "@m"], {},
+     "absent", 2),
+    (["sd2p-cert", "--gamma", "1/2", "@mu", "@mu", "--metric", "@m"], {},
+     "certificate", 0),
+    (["sd2p-cert", "--gamma", "9/10", "@atom02", "@atom02", "--metric",
+      "@m"], {}, "absent", 2),
+    (["prune-cm", "--gamma", "3/4", "--bound", "2", "--pairs", "@p", "@mu",
+      "--metric", "@m"], {}, "ok", 0),
+    (["example52", "--levels", "1", "--part", "w-d2p"], {}, "absent", 2),
+    (["example52", "--levels", "1", "--part", "ld2p", "--random-measures",
+      "3"], {}, "certificate", 0),
+    (["example52", "--levels", "1", "--part", "ld2p", "--gamma", "9/10",
+      "--random-measures", "3"], {"LIPFREE_SEED": "19"}, "absent", 2),
+    (["example52", "--levels", "1", "--random-measures", "3"], {},
+     "reproduced", 0),
+    (["example52", "--levels", "1", "--gamma", "9/10", "--random-measures",
+      "3"], {"LIPFREE_SEED": "19"}, "not-reproduced", 2),
+    (["verify", "@report"], {}, "verified", 0),
+])
+def test_verdicts_are_pinned(files, capsys, monkeypatch, argv, env, verdict,
+                             exit_code):
+    """The (verdict, exit code) of every command and outcome."""
+    monkeypatch.delenv("LIPFREE_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    inputs = {"m": files("m.json", LINE3_JSON),
+              "triangle": files("t.json", dict(LINE3_JSON, distances=[
+                  ["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])),
+              "p": files("p.json", DESCENT_PAIRS),
+              "loop": files("loop.json", {"pairs": [["0", "2"], ["2", "0"]]}),
+              "one": files("one.json", {"pairs": [["1", "0"]]}),
+              "mu": files("mu.json", DESCENT_MEASURE),
+              "opp": files("opp.json", {"atoms": [
+                  {"from": "0", "to": "2", "weight": "1"},
+                  {"from": "2", "to": "0", "weight": "1"}]}),
+              "unit": files("unit.json", {"atoms": [
+                  {"from": "1", "to": "0", "weight": "1"}]}),
+              "atom02": files("atom02.json", {"atoms": [
+                  {"from": "0", "to": "2", "weight": "1"}]}),
+              "zero": files("zero.json", {"values": {"0": "0", "1": "0",
+                                                     "2": "0"}}),
+              "ramp": files("ramp.json", {"values": {"0": "0", "1": "1",
+                                                     "2": "2"}})}
+    _, certificate = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs",
+                                       inputs["p"], inputs["m"]])
+    inputs["report"] = files("report.json", certificate)
+    code, report = run_json(capsys, [inputs[a[1:]] if a.startswith("@")
+                                     else a for a in argv])
+    assert (code, report["verdict"], report["exit_code"]) == \
+        (exit_code, verdict, exit_code)
 
 
 def test_verify_rejects_tampered_certificate(files, capsys, tmp_path):
