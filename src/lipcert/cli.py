@@ -405,8 +405,8 @@ def cmd_verify(args, started) -> int:
     report = _read_json(args.report)
     if not isinstance(report, dict):
         raise InvalidInput(f"{args.report} does not hold a report object")
+    summary = reports.verify_payload(report)
     payload = report.get("payload", report)
-    summary = reports.verify_payload(payload, report)
     return emit(args, {"kind": "verify", "summary": summary,
                        "space": payload.get("space")}, started, [summary])
 

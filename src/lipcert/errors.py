@@ -3,7 +3,11 @@ class InvalidInput(ValueError):
 
 
 class SoundnessError(RuntimeError):
-    """An internally produced certificate failed its own replay.
+    """A certificate failed its replay.
 
-    This is never a user error: any occurrence is a bug in the library.
+    Raised by the replays.  When a builder's replay of its own output
+    raises it, the library has a bug.  When the replay of a report inside
+    `reports.verify_payload` raises it, the report is at fault, and
+    `verify_payload` raises `InvalidInput("report rejected: ...")`
+    instead.
     """

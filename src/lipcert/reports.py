@@ -134,9 +134,13 @@ def _example52_verdict(payload: dict) -> tuple[str, int]:
     return "not-reproduced", EXIT_REFUTED
 
 
+# The fields a report carries around its payload, in report order.
+ENVELOPE_FIELDS = ("inputs_sha256", "verdict", "exit_code")
+
+
 def envelope(payload: dict) -> dict:
-    """The fields a report carries around `payload`, in report order: the
-    hash of its inputs, its verdict and its exit code."""
+    """The `ENVELOPE_FIELDS` of a report around `payload`: the hash of its
+    inputs, its verdict and its exit code."""
     verdict, exit_code = verdict_of(payload)
     return {"inputs_sha256": canonical_hash(
                 {k: payload.get(k) for k in INPUT_FIELDS}),
@@ -458,25 +462,23 @@ def _replay_example52(space: FiniteMetricSpace, body: dict) -> str:
 
 
 def _check_envelope(report: dict, payload: dict) -> None:
-    """If `report` carries any envelope field, each must equal its value
-    in `envelope(payload)`, type included: an `exit_code` of false is not
-    0."""
-    claims = envelope(payload)
-    if any(field in report for field in claims):
-        for field, want in claims.items():
+    """If `report` carries any of `ENVELOPE_FIELDS`, each must equal its
+    value in `envelope(payload)`, type included: an `exit_code` of false
+    is not 0."""
+    if any(field in report for field in ENVELOPE_FIELDS):
+        for field, want in envelope(payload).items():
             got = report.get(field)
             _ok(type(got) is type(want) and got == want,
                 f"{field} is {got!r}, but the payload gives {want!r}")
 
 
-def verify_payload(payload: dict, report: dict | None = None) -> str:
-    """Replay the invariants of a report payload; return a summary line.
+def verify_payload(report: dict) -> str:
+    """Replay the invariants of a report's payload; return a summary line.
 
-    `report`, if given, is the report around `payload`.  If it carries
-    any of the envelope fields `inputs_sha256`, `verdict` and
-    `exit_code`, each must equal what `envelope` derives from the
-    payload.  A bare payload, or a report without those fields, claims
-    no envelope.
+    The payload is `report["payload"]`, or `report` itself if it is a
+    bare payload.  If `report` carries any of `ENVELOPE_FIELDS`, each
+    must equal what `envelope` derives from the payload.  A bare payload
+    carries none of them, so it claims no envelope.
 
     Raises `InvalidInput` in two ways.  If a replayed inequality fails
     (the replays raise `SoundnessError`) or the envelope differs, the
@@ -484,12 +486,12 @@ def verify_payload(payload: dict, report: dict | None = None) -> str:
     no prefix: a missing field, a field of the wrong type, an index out
     of range, or a rational field that does not parse.
     """
+    payload = report.get("payload", report)
     if not isinstance(payload, dict):
         raise InvalidInput(f"a payload must be an object, got {payload!r}")
     try:
         summary = _replay_payload(payload)
-        if report is not None:
-            _check_envelope(report, payload)
+        _check_envelope(report, payload)
         return summary
     except SoundnessError as exc:
         raise InvalidInput(f"report rejected: {exc}") from None
