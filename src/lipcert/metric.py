@@ -1,15 +1,16 @@
 """Finite pointed metric spaces and the ordered-pair space.
 
 Distances are exact rationals (`fractions.Fraction`); nothing in this
-module (or anywhere downstream) uses floating point.  Each space is also
-compiled once, on first use, to an integer form: the scale L (the lcm of
-the distance denominators) and the matrix D = L * d of ints.  The hot
-kernels (metric validation, Bellman-Ford, certificate replay, unit-ball
-membership, witness synthesis, slice shortest paths) run on D over a
-common scale such as h * L for gamma = g / h, and `Fraction` appears only
-at the API and JSON boundary.  The pair space M~ = {(x, y) : x != y} is
-never materialised: operations either receive explicit finite pair sets
-or iterate over all n(n-1) ordered pairs.
+module (or anywhere downstream) uses floating point.  The constructor
+compiles each space to an integer form, once per distinct distance
+literal: the scale L (the lcm of the distance denominators) and the
+matrix D = L * d of ints.  The hot kernels (metric validation,
+Bellman-Ford, certificate replay, unit-ball membership, witness
+synthesis, slice shortest paths) run on D over a common scale such as
+h * L for gamma = g / h, and `Fraction` appears only at the API and JSON
+boundary.  The pair space M~ = {(x, y) : x != y} is never materialised:
+operations either receive explicit finite pair sets or iterate over all
+n(n-1) ordered pairs.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInput
@@ -30,16 +32,23 @@ PairSet = tuple[Pair, ...]
 class FiniteMetricSpace:
     """Immutable finite pointed metric space with rational distances.
 
-    The constructor checks shape only (matrix size, label uniqueness,
-    known base); the metric axioms are checked by :func:`validate_metric`
-    and a zero diagonal with positivity alone by :meth:`require_positive`.
-    Point order is the declaration order; certificates always reference
-    labels, never indices.  ``scale`` and ``int_dist`` are the compiled
-    integer form, built on first use and kept for the life of the object.
+    The constructor checks shape (matrix size, label uniqueness, known
+    base) and the cells: each is an int, a `Fraction` or a ``"p/q"``
+    string, read by `parse_rational` like every other rational literal.
+    The metric axioms are checked by :func:`validate_metric`, and a zero
+    diagonal with positivity alone by :meth:`require_positive`.  Point
+    order is the declaration order; certificates always reference labels,
+    never indices.  ``scale`` and ``int_dist`` are the compiled integer
+    form.  The constructor builds them from one table over the distinct
+    cells, so each literal is parsed and scaled once, however often it
+    repeats; ``dist_str`` and the `Fraction` matrix behind :meth:`d` map
+    the same cells through that table on first use.
     """
 
     def __init__(self, points: Sequence[str], base: str,
                  dist: Sequence[Sequence[Fraction | int | str]]):
+        # Own copies of the rows: the caller may change theirs later.
+        self._cells, self._values = _compile_cells(dist)
         self.points: tuple[str, ...] = tuple(points)
         self._index = {p: i for i, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
@@ -48,11 +57,18 @@ class FiniteMetricSpace:
             raise InvalidInput(f"unknown base label {base!r}")
         self.base = base
         n = len(self.points)
-        if len(dist) != n or any(len(row) != n for row in dist):
+        if len(self._cells) != n or any(len(row) != n for row in self._cells):
             raise InvalidInput("distance matrix does not match point count")
-        # Values that are already Fractions (from the JSON loader) are kept.
-        self._dist = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                                 for x in row) for row in dist)
+        #: L: the least common denominator of all distances.
+        self.scale: int = math.lcm(
+            *(x.denominator for x in self._values.values()))
+        #: D = L * d, indexed by point number.
+        self.int_dist: tuple[tuple[int, ...], ...] = self._map_cells(
+            {x: v.numerator * (self.scale // v.denominator)
+             for x, v in self._values.items()})
+
+    def _map_cells(self, table: dict) -> tuple[tuple, ...]:
+        return tuple(tuple(map(table.__getitem__, row)) for row in self._cells)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -61,21 +77,14 @@ class FiniteMetricSpace:
         return p in self._index
 
     @cached_property
-    def scale(self) -> int:
-        """L: the least common denominator of all distances."""
-        return math.lcm(*(x.denominator for row in self._dist for x in row))
-
-    @cached_property
-    def int_dist(self) -> tuple[tuple[int, ...], ...]:
-        """D = L * d, indexed by point number."""
-        scale = self.scale
-        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
-                     for row in self._dist)
+    def _dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._map_cells(self._values)
 
     @cached_property
     def dist_str(self) -> tuple[tuple[str, ...], ...]:
         """The distances as their ``"p/q"`` JSON literals."""
-        return tuple(tuple(map(rational_str, row)) for row in self._dist)
+        return self._map_cells({x: rational_str(v)
+                                for x, v in self._values.items()})
 
     def require_positive(self) -> FiniteMetricSpace:
         """Reject a nonzero diagonal, or a zero or negative distance between
@@ -85,11 +94,12 @@ class FiniteMetricSpace:
             if row[i] != 0:
                 raise InvalidInput(f"d({p},{p}) = {self._dist[i][i]} != 0: "
                                    "a point needs distance zero to itself")
-            for j, x in enumerate(row):
-                if x <= 0 and i != j:
-                    raise InvalidInput(
-                        f"d({p},{self.points[j]}) = {self._dist[i][j]} <= 0: "
-                        "distinct points need a positive distance")
+            if min(row) == 0 and row.count(0) == 1:
+                continue  # the zero is d(p, p), the rest are positive
+            j = next(j for j, x in enumerate(row) if x <= 0 and j != i)
+            raise InvalidInput(
+                f"d({p},{self.points[j]}) = {self._dist[i][j]} <= 0: "
+                "distinct points need a positive distance")
         return self
 
     def index(self, p: str) -> int:
@@ -199,7 +209,7 @@ def build_line(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise InvalidInput("line needs at least one point")
     points = [str(i) for i in range(n)]
-    dist = [[Fraction(abs(i - j)) for j in range(n)] for i in range(n)]
+    dist = [[abs(i - j) for j in range(n)] for i in range(n)]
     return FiniteMetricSpace(points, "0", dist)
 
 
@@ -224,13 +234,8 @@ def build_example52(levels: int) -> FiniteMetricSpace:
             ones |= {(f"x{i}", f"u{i}_{j}"), (f"u{i}_{j}", f"v{i}_{j}"),
                      (f"v{i}_{j}", f"y{i}")}
     ones |= {(b, a) for a, b in ones}
-    n = len(points)
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            dist[a][b] = Fraction(1 if (points[a], points[b]) in ones else 2)
+    dist = [[0 if a == b else 1 if (a, b) in ones else 2 for b in points]
+            for a in points]
     return FiniteMetricSpace(points, "x1", dist)
 
 
@@ -267,6 +272,40 @@ def parse_rational(s: str | int) -> Fraction:
 
 def rational_str(x: Fraction) -> str:
     return str(x)
+
+
+# The types a distance cell may have.  They are checked on every cell, not
+# on the distinct ones: True == 1 and 0.5 == Fraction(1, 2), so a bool or
+# a float would share the key of a valid cell in the table.
+_CELL_TYPES = frozenset({str, int, Fraction})
+
+
+def _compile_cells(dist) -> tuple[tuple[tuple, ...], dict]:
+    """(rows, values): the rows of `dist` as tuples, and the `Fraction` of
+    each distinct cell, read once by `parse_rational`.
+
+    A bad cell raises `parse_rational`'s error for the first one in row
+    order, and a row that is not a sequence the shape error.
+    """
+    rows = dist
+    try:
+        rows = tuple(map(tuple, dist))
+        if set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
+            return rows, {x: parse_rational(x)
+                          for x in set(chain.from_iterable(rows))}
+    except (TypeError, InvalidInput):
+        pass
+    # Some cell or row is bad: walk the cells in row order to name it.
+    try:
+        for row in rows:
+            for x in row:
+                parse_rational(x)
+                if type(x) not in _CELL_TYPES:
+                    raise InvalidInput(f"bad rational literal {x!r}: write "
+                                       "an integer or a 'p/q' string")
+    except TypeError:
+        pass
+    raise InvalidInput("distance matrix does not match point count")
 
 
 def _literal_parser():
@@ -306,9 +345,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         rows = obj["distances"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed metric JSON: {exc}") from None
-    parse = _literal_parser()
-    dist = [[parse(x) for x in row] for row in rows]
-    return FiniteMetricSpace(points, base, dist)
+    return FiniteMetricSpace(points, base, rows)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:

@@ -890,6 +890,30 @@ def test_json_floats_and_booleans_exit_1(files, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [True, 0]],
+     "bad rational literal True: write an integer or a 'p/q' string"),
+    ([[0, 0.5], [0.5, 0]],
+     "bad rational literal 0.5: write an integer or a 'p/q' string"),
+    ([[0, None], [None, 0]], "bad rational literal None"),
+    ([[0, [1]], [[1], 0]], "bad rational literal [1]"),
+    ([[0, "abc"], ["abc", 0]], "bad rational literal 'abc'"),
+    ([[0, "1/0"], ["1/0", 0]], "bad rational literal '1/0'"),
+    ([[0, 1], ["abc"]], "bad rational literal 'abc'"),
+    ([[0, 1], 5], "distance matrix does not match point count"),
+])
+def test_malformed_distance_cells_exit_1(files, capsys, rows, message):
+    """A bad cell gets `parse_rational`'s error line, before the shape
+    error of its short row; a row that is no list gets the shape error."""
+    m = files("m.json", {"points": ["a", "b"], "base": "a",
+                         "distances": rows})
+    pairs = files("p.json", {"pairs": [["a", "b"]]})
+    for argv in (["check-cm", "--gamma", "1", "--pairs", pairs, m],
+                 ["validate", m]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
 def test_integer_steep_filter_matches_fraction_slopes(monkeypatch):
     """The battery's steep pairs, decided on integers, are the pairs of
     slope exactly 1 in `Fraction`, in `space.pairs()` order."""

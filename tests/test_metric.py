@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lipcert.errors import InvalidInput
 from lipcert.metric import (FiniteMetricSpace, build_example52, build_line,
-                            builtin_space, make_pair_set, project, reflect,
-                            reflect_set, space_from_json, space_to_json,
-                            validate_metric)
+                            builtin_space, make_pair_set, parse_rational,
+                            project, reflect, reflect_set, space_from_json,
+                            space_to_json, validate_metric)
 
 LINE3 = build_line(3)
 
@@ -41,6 +42,56 @@ def test_compiled_integer_matrix():
     assert space.scale == 6
     assert space.int_dist == ((0, 3, 5), (3, 0, 2), (5, 2, 0))
     assert space.int_dist is space.int_dist  # compiled once per object
+
+
+@st.composite
+def _distance_cell(draw):
+    """An int, a `Fraction` or a string literal, canonical or not."""
+    num, den = draw(st.integers(-30, 30)), draw(st.integers(1, 12))
+    return draw(st.sampled_from([
+        num, Fraction(num, den), str(Fraction(num, den)), f"{num}/{den}",
+        f" {num}/{den} ", f"{2 * num}/{2 * den}", "-0", "2/4", " 1/2 "]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_distance_cell(), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_table_compile_equals_the_per_cell_compile(rows):
+    """The table over distinct cells gives what one `Fraction` per cell
+    gives, and the space keeps no reference to the caller's rows."""
+    points = [f"p{i}" for i in range(len(rows))]
+    values = [[Fraction(x) for x in row] for row in rows]
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    space = FiniteMetricSpace(points, "p0", rows)
+    rows[0][0] = "7/3"
+    rows[-1].append(5)
+    rows.append(["1"] * len(points))
+    assert space.scale == scale
+    assert space.int_dist == tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row)
+        for row in values)
+    assert space.dist_str == tuple(tuple(str(v) for v in row)
+                                   for row in values)
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert space.d(p, q) == values[i][j]
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([[0, 0.5], [0.5, 0]], 0.5), ([[0, True], [True, 0]], True),
+    ([[0, 1], [True, 0]], True), ([[0, Fraction(1, 2)], [0.5, 0]], 0.5),
+    ([[0, "abc"], [0.5, 0]], "abc"), ([[0, None], [None, 0]], None),
+    ([[0, "1/0"], ["1/0", 0]], "1/0"), ([[0, [1]], [[1], 0]], [1])])
+def test_constructor_reads_cells_as_rational_literals(rows, bad):
+    """Every cell goes through `parse_rational`'s grammar, and the first
+    bad one in row order gets its error, even where a bool or a float
+    equals a valid cell."""
+    with pytest.raises(InvalidInput) as expected:
+        parse_rational(bad)
+    with pytest.raises(InvalidInput) as raised:
+        FiniteMetricSpace(["a", "b"], "a", rows)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_validation_messages_keep_rational_values():
