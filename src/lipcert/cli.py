@@ -2,11 +2,11 @@
 
 Exit codes: 0 = property holds / certificate found, 2 = property refuted
 or search exhausted (with an audit payload), 1 = input or internal error,
-or a report that `verify` rejects.  Reports are JSON (``--format json``)
-or a short text rendering; the certificate body is deterministic for
-identical inputs.  Each command builds a payload and hands it to `emit`,
-which takes the verdict, exit code and inputs hash from
-`reports.envelope`.
+or a report that `verify` rejects.  Reports are one line of compact JSON
+(``--format json``, keys in report order) or a short text rendering; the
+certificate body is deterministic for identical inputs.  Each command
+builds a payload and hands it to `emit`, which takes the verdict, exit
+code and inputs hash from `reports.envelope`.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
 
 from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
@@ -101,97 +100,6 @@ def _rational(args, flag: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # Output
 
-class _IndentEncoder(json.JSONEncoder):
-    """Writes ``json.dumps(obj, indent=2)`` whatever its options, in one walk
-    that hands every string to the C ``encode_basestring_ascii`` and every
-    other scalar to the C one-shot encoder (`json` alone falls back to pure
-    Python for an indent).  Dict keys must be ``str``; a value that is not
-    a dict, list, tuple, str, int, float, bool or None raises `TypeError`.
-
-    A list of same-keyed rows, such as the violation table of a Lip-LTP
-    refutation, is written from one ``%``-template, keys escaped: while
-    the rows are dicts with the first row's keys in the first row's order
-    whose values are each a ``str`` or a non-empty list of ``str``, each
-    row is one ``template % values``.  The first row that is not so, and
-    every row after it, takes the generic walk.
-    """
-
-    def encode(self, o) -> str:
-        quote = json.encoder.encode_basestring_ascii
-        scalar = json.encoder.c_make_encoder(
-            None, self.default, quote, None, ": ", ",", False, False, True)
-        chunks: list[str] = []
-        write = chunks.append
-
-        def rows(o, nl: str) -> list[str]:
-            """The leading same-keyed rows of `o`, a list whose first item
-            is a non-empty dict and whose items sit at indent `nl`.  The
-            first row fixes which values are strings and which lists."""
-            first = o[0]
-            keys = list(first)
-            kinds = [(k, type(first[k]) is str) for k in keys]
-            inner = nl + "  "
-            deeper = inner + "  "
-            item_sep = "," + deeper
-            template = "{" + inner + ("," + inner).join(
-                [quote(k).replace("%", "%%") + ": %s" for k in keys]
-            ) + nl + "}"
-
-            def strings(v) -> str:
-                if type(v) is not list or not v:
-                    raise TypeError("not a non-empty list")
-                return ("[" + deeper + item_sep.join(map(quote, v)) + inner
-                        + "]")
-
-            done = []
-            for row in o:
-                if not isinstance(row, dict) or list(row) != keys:
-                    break
-                try:
-                    values = tuple([quote(row[k]) if is_str
-                                    else strings(row[k]) for k, is_str in kinds])
-                except TypeError:
-                    break
-                done.append(template % values)
-            return done
-
-        def walk(o, nl: str) -> None:
-            if isinstance(o, str):
-                write(quote(o))
-            elif isinstance(o, (list, tuple)) and o:
-                inner = nl + "  "
-                sep = "," + inner
-                try:  # a list of strings, such as a distance row
-                    write("[" + inner + sep.join(map(quote, o)) + nl + "]")
-                except TypeError:
-                    head = (rows(o, inner) if isinstance(o[0], dict) and o[0]
-                            else [])
-                    write("[" + inner + sep.join(head))
-                    lead = sep if head else ""
-                    for x in islice(o, len(head), None):
-                        write(lead)
-                        walk(x, inner)
-                        lead = sep
-                    write(nl + "]")
-            elif isinstance(o, dict) and o:
-                inner = nl + "  "
-                sep = "," + inner
-                lead = "{" + inner
-                for k, v in o.items():
-                    if isinstance(v, str):
-                        write(lead + quote(k) + ": " + quote(v))
-                    else:
-                        write(lead + quote(k) + ": ")
-                        walk(v, inner)
-                    lead = sep
-                write(nl + "}")
-            else:  # a number, true, false, null, [] or {}
-                chunks.extend(scalar(o, 0))
-
-        walk(o, "\n")
-        return "".join(chunks)
-
-
 def emit(args, payload: dict, started: float, text_lines: list[str]) -> int:
     """Print the report around `payload`; return its exit code.  The
     verdict, exit code and inputs hash come from `reports.envelope`."""
@@ -203,7 +111,7 @@ def emit(args, payload: dict, started: float, text_lines: list[str]) -> int:
         "elapsed_seconds": round(time.monotonic() - started, 6),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, cls=_IndentEncoder))
+        print(json.dumps(report, separators=(",", ":")))
     else:
         print(f"[{envelope['verdict']}]")
         for line in text_lines:

@@ -28,11 +28,6 @@ from .metric import (FiniteMetricSpace, Pair, PairSet, parse_rational,
 from .monotone import (CmCertificate, CmViolation, check_gamma_cm,
                        inf_extension)
 
-# Cross-checks that need a full simplex run are skipped above this size;
-# exact certificate replay still guards every returned result.
-LP_CROSS_CHECK_MAX_POINTS = 10
-
-
 class PairMeasure:
     """Finitely supported signed measure: nonzero rational atom weights."""
 
@@ -194,10 +189,9 @@ def is_optimal(mu: PairMeasure) -> OptimalityVerdict:
     """Norm attainment for a positive measure.
 
     For finitely supported positive measures optimality collapses to the
-    support being cyclically monotonic.  A certified support's witness is
-    replayed as the attaining maximizer of the total mass; the verdict is
-    also cross-checked against the exact LP norm on small spaces (a
-    mismatch is a bug, not a soft warning).
+    support being cyclically monotonic.  `_cm_norm`'s replay alone proves
+    a certified support: the norm is at most the total mass, which the
+    replayed inf-extension attains.  Otherwise the LP norm gives the gap.
     """
     if not mu.is_positive():
         raise InvalidInput("optimality is defined for positive measures; "
@@ -205,10 +199,6 @@ def is_optimal(mu: PairMeasure) -> OptimalityVerdict:
     verdict = check_gamma_cm(mu.space, mu.support(), Fraction(1))
     if isinstance(verdict, CmCertificate):
         _cm_norm(mu, verdict)
-        if len(mu.space) <= LP_CROSS_CHECK_MAX_POINTS:
-            lp_res = dual_norm(mu, force_lp=True)
-            if lp_res.norm != mu.total_variation():
-                raise SoundnessError("LP cross-check disagrees with CM verdict")
         return OptimalityVerdict(True, verdict, None, None)
     gap = mu.total_variation() - dual_norm(mu, force_lp=True).norm
     if gap <= 0:

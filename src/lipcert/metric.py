@@ -285,10 +285,13 @@ def _compile_cells(dist) -> tuple[tuple[tuple, ...], dict]:
     each distinct cell, read once by `parse_rational`.
 
     A bad cell raises `parse_rational`'s error for the first one in row
-    order, and a row that is not a sequence the shape error.
+    order, and a row that is not a sequence the shape error.  A string is
+    not a row, though it unpacks into one-character cells.
     """
     rows = dist
     try:
+        if str in set(map(type, dist)):
+            raise TypeError("a string is not a row")
         rows = tuple(map(tuple, dist))
         if set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
             return rows, {x: parse_rational(x)
@@ -298,6 +301,8 @@ def _compile_cells(dist) -> tuple[tuple[tuple, ...], dict]:
     # Some cell or row is bad: walk the cells in row order to name it.
     try:
         for row in rows:
+            if type(row) is str:
+                break
             for x in row:
                 parse_rational(x)
                 if type(x) not in _CELL_TYPES:
@@ -340,6 +345,8 @@ def _common_scale(scale: int, values: Sequence[Fraction]
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
     try:
+        if isinstance(obj["points"], str):
+            raise TypeError("'points' is a string, not a list of labels")
         points = list(obj["points"])
         base = obj["base"]
         rows = obj["distances"]

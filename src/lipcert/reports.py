@@ -51,9 +51,11 @@ def pairs_to_json(pairs: PairSet) -> list[list[str]]:
 
 
 def pairs_from_json(space: FiniteMetricSpace, raw) -> PairSet:
+    """Each item read by `_pair_from_json`; repeats dropped, as in
+    `make_pair_set`."""
     if not isinstance(raw, list):
         raise InvalidInput(f"a pair set must be a list, got {raw!r}")
-    return make_pair_set(space, raw)
+    return tuple(dict.fromkeys([_pair_from_json(space, p) for p in raw]))
 
 
 def _pair_from_json(space: FiniteMetricSpace, raw) -> Pair:
@@ -384,6 +386,8 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
     """
     f = function_from_json(space, body["function"])
     subset = body["subset"]
+    if not isinstance(subset, list):
+        raise InvalidInput(f"a subset must be a list, got {subset!r}")
     members = {p: space.index(p) for p in subset if p in space}
     form = LipLtpInequality(space, parse_rational(body["eps"]), f,
                             members.values())
@@ -402,7 +406,10 @@ def _replay_lip_ltp(space: FiniteMetricSpace, body: dict) -> str:
     covered = set()
     parse = _literal_parser()
     for viol in violations:  # `_ok` inlined: this loop runs once per row
-        u, v = viol["candidate"]
+        candidate = viol["candidate"]  # the cover check refuses the rest
+        if type(candidate) is not list:
+            raise InvalidInput(f"a pair must be a list, got {candidate!r}")
+        u, v = candidate
         covered.add((u, v))
         x, y = members.get(viol["x"]), members.get(viol["y"])
         if x is None or y is None:
@@ -578,11 +585,11 @@ def _replay_payload(payload: dict) -> str:
         gamma = 1 - parse_rational(payload["eps"])
         if not payload["found"]:
             failures = payload["failures"]
-            _ok([tuple(entry["candidate"]) for entry in failures]
-                == list(space.pairs()),
+            candidates = [_pair_from_json(space, entry["candidate"])
+                          for entry in failures]
+            _ok(candidates == list(space.pairs()),
                 "failure rows do not cover every candidate pair in order")
-            for entry in failures:
-                u, v = entry["candidate"]
+            for (u, v), entry in zip(candidates, failures):
                 side = entry["side"]
                 _ok(side in ("forward", "backward"), f"unknown side {side!r}")
                 added = (u, v) if side == "forward" else (v, u)

@@ -330,6 +330,10 @@ def test_malformed_pair_and_measure_json_exit_1(files, capsys):
     triple = files("t.json", {"pairs": [["0", "1", "2"]]})
     assert main(["check-cm", "--gamma", "1", "--pairs", triple, m]) == 1
     assert "exactly two labels" in capsys.readouterr().err
+    # On one-character labels "21" would unpack into the pair (2, 1).
+    string = files("s.json", {"pairs": ["21"]})
+    assert main(["check-cm", "--gamma", "1", "--pairs", string, m]) == 1
+    assert capsys.readouterr().err.startswith("error: a pair must be a list")
     no_to = files("mu.json", {"atoms": [{"from": "1", "weight": "1"}]})
     assert main(["norm", no_to, "--metric", m]) == 1
     assert "malformed measure atom" in capsys.readouterr().err
@@ -733,6 +737,12 @@ def test_verify_lip_ltp_absent_covers_every_candidate(files, capsys,
         == 1
     # (0, 1) is compatible on the subset {0}; the rows use 1 and 2.
     assert _verify_code(capsys, tmp_path, dict(payload, subset=["0"])) == 1
+    # A string such as "01" or "012" is no pair and no subset, though it
+    # unpacks into labels.
+    joined = [dict(row, candidate="".join(row["candidate"])) for row in rows]
+    assert _verify_code(capsys, tmp_path, dict(payload, violations=joined)) \
+        == 1
+    assert _verify_code(capsys, tmp_path, dict(payload, subset="012")) == 1
 
 
 def test_verify_two_lip_ltp_absent_covers_every_candidate(files, capsys,
@@ -747,7 +757,9 @@ def test_verify_two_lip_ltp_absent_covers_every_candidate(files, capsys,
     assert len(rows) == 6
     assert _verify_code(capsys, tmp_path, payload) == 0
     for tampered in (rows[:1], [], rows[::-1],
-                     [dict(rows[0], side="sideways")] + rows[1:]):
+                     [dict(rows[0], side="sideways")] + rows[1:],
+                     [dict(row, candidate="".join(row["candidate"]))
+                      for row in rows]):
         assert _verify_code(capsys, tmp_path,
                             dict(payload, failures=tampered)) == 1
 
@@ -831,6 +843,40 @@ def test_verify_lip_ltp_found_pair_must_be_a_list(files, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: a pair must be a list")
 
 
+def test_verify_refuses_a_string_in_a_pair_set(files, capsys, tmp_path):
+    """A pair set holds lists: on one-character labels the string "21"
+    would unpack into the pair (2, 1)."""
+    m = files("m.json", LINE3_JSON)
+    p = files("p.json", DESCENT_PAIRS)
+    mu = files("mu.json", DESCENT_MEASURE)
+    runs = [(["check-cm", "--gamma", "1", "--pairs", p, m], "pairs"),
+            (["ld2p-cert", "--gamma", "1/2", mu, "--metric", m], "pair_set"),
+            (["prune-cm", "--gamma", "3/4", "--bound", "2", "--pairs", p, mu,
+              "--metric", m], "kept")]
+    for argv, field in runs:
+        code, report = run_json(capsys, argv)
+        assert code == 0, argv
+        payload = report["payload"]
+        assert _verify_code(capsys, tmp_path, payload) == 0, argv
+        pairs = payload[field]
+        assert pairs and all(len(u + v) == 2 for u, v in pairs), argv
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"payload": dict(
+            payload, **{field: ["".join(pair) for pair in pairs]})}))
+        assert main(["verify", str(path)]) == 1, argv
+        assert capsys.readouterr().err.startswith(
+            "error: a pair must be a list"), argv
+
+
+def test_string_points_exit_1(files, capsys):
+    """`points` holds labels: the string "012" is not the labels 0, 1, 2."""
+    m = files("m.json", dict(LINE3_JSON, points="012"))
+    assert main(["validate", m]) == 1
+    assert capsys.readouterr().err == ("error: malformed metric JSON: "
+                                       "'points' is a string, not a list "
+                                       "of labels\n")
+
+
 def test_verify_example52_reports(capsys, tmp_path):
     code, report = run_json(capsys, ["example52", "--levels", "1",
                                      "--random-measures", "2"])
@@ -901,10 +947,13 @@ def test_json_floats_and_booleans_exit_1(files, capsys, tmp_path):
     ([[0, "1/0"], ["1/0", 0]], "bad rational literal '1/0'"),
     ([[0, 1], ["abc"]], "bad rational literal 'abc'"),
     ([[0, 1], 5], "distance matrix does not match point count"),
+    ([[0, 1], "10"], "distance matrix does not match point count"),
+    (["01", "10"], "distance matrix does not match point count"),
 ])
 def test_malformed_distance_cells_exit_1(files, capsys, rows, message):
     """A bad cell gets `parse_rational`'s error line, before the shape
-    error of its short row; a row that is no list gets the shape error."""
+    error of its short row; a row that is no list, or is a string of
+    one-character cells, gets the shape error."""
     m = files("m.json", {"points": ["a", "b"], "base": "a",
                          "distances": rows})
     pairs = files("p.json", {"pairs": [["a", "b"]]})

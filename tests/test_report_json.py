@@ -1,13 +1,9 @@
-"""The JSON boundary: the report encoder, the report layout and the pinned
-example52 and slice-diameter payloads."""
+"""The JSON boundary: the report layout and the pinned example52 and
+slice-diameter payloads."""
 import json
-import math
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from lipcert import cli
 from lipcert.cli import EXAMPLE52_N, example52_function, main
 from lipcert.lipschitz import function_to_json
 from lipcert.metric import build_example52, build_line, space_to_json
@@ -48,114 +44,13 @@ CM_PAYLOAD_SHA256 = {
                     "d81bbd70291afec1447bdb5fd5f3bd4b"),
 }
 
-scalars = (st.none() | st.booleans()
-           | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
-           | st.floats(allow_nan=True, allow_infinity=True)
-           | st.text())
-trees = st.recursive(
-    scalars,
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(inner, max_size=5).map(tuple)
-                   | st.lists(st.text(), max_size=5)
-                   | st.dictionaries(st.text(), inner, max_size=5)),
-    max_leaves=40)
-
-
-def dumps(obj):
-    return json.dumps(obj, indent=2, cls=cli._IndentEncoder)
-
-
-@settings(max_examples=300, deadline=None)
-@given(trees)
-def test_indent_encoder_matches_json_dumps(obj):
-    assert dumps(obj) == json.dumps(obj, indent=2)
-
-
-# Lists of same-keyed rows, the case the encoder writes from a template:
-# keys that hold "%" or "%s", non-ASCII text, and rows that leave the
-# template (other keys, another key order, a non-str value, an empty list,
-# an int list as in a 2-Lip-LTP cycle, a str where the first row has a
-# list, or the reverse).
-row_keys = st.sampled_from(
-    ["%", "%s", "a%%b", "%(k)s", "100%", "x", "candidate", "\u00e9t\u00e9",
-     "\u2603"]) | st.text()
-row_text = st.text(max_size=4) | st.sampled_from(["%s", "%", "\u00e9"])
-row_strings = st.lists(row_text, min_size=1, max_size=3)
-odd_values = (st.none() | st.booleans() | st.integers() | st.just([])
-              | st.lists(st.integers(0, 9), min_size=1, max_size=3)
-              | st.lists(row_text | st.integers(), min_size=1, max_size=3)
-              | st.tuples(row_text) | st.dictionaries(row_text, row_text))
-
-
-@st.composite
-def row_lists(draw):
-    keys = draw(st.lists(row_keys, min_size=1, max_size=5, unique=True))
-    kinds = [draw(st.booleans()) for _ in keys]  # True: a str value
-
-    def row():
-        return {k: draw(row_text if is_str else row_strings)
-                for k, is_str in zip(keys, kinds)}
-    rows = [row() for _ in range(draw(st.integers(1, 6)))]
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(rows) - 1))
-        k = draw(st.sampled_from(keys))
-        change = draw(st.sampled_from(
-            ["reorder", "other key", "drop key", "odd value", "empty list",
-             "swap kind", "not a dict"]))
-        if not isinstance(rows[i], dict) or k not in rows[i]:
-            continue
-        if change == "reorder":
-            rows[i] = dict(reversed(list(rows[i].items())))
-        elif change == "other key":
-            rows[i][draw(row_keys)] = draw(row_text)
-        elif change == "drop key":
-            del rows[i][k]
-        elif change == "odd value":
-            rows[i][k] = draw(odd_values)
-        elif change == "empty list":
-            rows[i][k] = []
-        elif change == "swap kind":
-            rows[i][k] = draw(row_strings if isinstance(rows[i][k], str)
-                              else row_text)
-        else:
-            rows[i] = draw(row_strings)
-    return draw(st.sampled_from([rows, {"rows": rows}, [[rows]]]))
-
-
-@settings(max_examples=500, deadline=None)
-@given(row_lists())
-def test_indent_encoder_rows_match_json_dumps(obj):
-    assert dumps(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [
-    {}, [], (), "", [[]], [{}], {"a": {}}, {"a": []}, [[], [[]], {}],
-    {"é": "\x00\x1f \ud83d", "k": ["\"", "\\", "\n\t"]},
-    [2 ** 200, -2 ** 200, 0.1, -0.0, 1e308, math.nan, math.inf, -math.inf],
-    {"t": (True, False, None), "n": [1, "1", [1.5, "x"]]},
-    [{"%s": ["%"], "é": "%%"}, {"%s": ["a", "b"], "é": "\u2603"}],
-    [{"a": ["x"]}, {"a": []}], [{"a": "x"}, {"a": ["x"]}],
-    [{"a": "x", "b": "y"}, {"b": "y", "a": "x"}, {"a": "x", "b": "y"}],
-    [{"candidate": ["u", "v"], "side": "forward", "cycle": [0, 1]}],
-])
-def test_indent_encoder_edge_cases(obj):
-    assert dumps(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [
-    Fraction(1, 2), [Fraction(1, 2)], {"a": {1, 2}}, {"a": ["x", b"y"]},
-    object()])
-def test_indent_encoder_refuses_other_values(obj):
-    with pytest.raises(TypeError):
-        dumps(obj)
-
-
 def _stdout(capsys, argv):
     code = main(["--format", "json"] + argv)
     return code, capsys.readouterr().out
 
 
-def test_reports_are_indent_2_json(tmp_path, capsys):
+def test_reports_are_compact_json(tmp_path, capsys):
+    """A report is one line of compact JSON, keys in report order."""
     mu = tmp_path / "mu.json"
     mu.write_text(json.dumps({"atoms": [
         {"from": "2", "to": "1", "weight": "1/2"},
@@ -172,7 +67,9 @@ def test_reports_are_indent_2_json(tmp_path, capsys):
             (0, ["example52", "--levels", "1", "--random-measures", "2"])):
         code, out = _stdout(capsys, argv)
         assert code == want, argv
-        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        assert out == json.dumps(json.loads(out),
+                                 separators=(",", ":")) + "\n", argv
+        assert out.count("\n") == 1, argv
 
 
 def test_example52_payload_digest_is_pinned(capsys, monkeypatch):
