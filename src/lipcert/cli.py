@@ -23,8 +23,8 @@ from . import d2p, functionals, reports
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
                         lip_norm, mcshane_sup_extension, slope)
-from .metric import (FiniteMetricSpace, _common_scale, builtin_space,
-                     parse_rational, space_from_json, validate_metric)
+from .metric import (FiniteMetricSpace, builtin_space, parse_rational,
+                     space_from_json, validate_metric)
 from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
                        synthesize_witness)
 
@@ -324,10 +324,9 @@ def cmd_verify(args, started) -> int:
 
 def _steep_pairs(f: LipschitzFunction) -> list:
     """The pairs of `space.pairs()` across which f has slope 1, decided as
-    F_x - F_y == s * D_xy on the common integer scale of f and d."""
-    space = f.space
-    K, F = _common_scale(space.scale, [f(p) for p in space.points])
-    s = K // space.scale
+    F_x - F_y == s * D_xy on f's ints F over K, with s = K / L."""
+    space, F = f.space, f.F
+    s = f.K // space.scale
     pts = space.points
     return [(pts[i], pts[j]) for i, row in enumerate(space.int_dist)
             for j in range(len(pts)) if i != j and F[i] - F[j] == s * row[j]]

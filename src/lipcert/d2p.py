@@ -3,7 +3,8 @@
 The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
 step and one replay, `replay_two_sided`, run by the searches, `verify`
 and `--emit-proof`.  It is two calls of `monotone.replay_witness`, the
-one check of "unit ball and slope >= gamma across pairs".  A replay
+one check of "unit ball and slope >= gamma across pairs", which reads
+the ints (K, F) that `inf_extension` built from the potentials.  A replay
 failure raises `SoundnessError`: in a search it is a bug, and `verify`
 reports it as a rejected report.  `Ld2pCertificate.replay` checks that
 gamma lies in (0, 1] before it checks the mass of the selected pair
@@ -12,8 +13,8 @@ and its failure.
 
 The Lip-LTP inequality (1 - eps)(|f(x) - f(y)| + d(u, v)) > d(x, u) +
 d(y, v) is compiled once onto integers by `LipLtpInequality`: with
-D = L * d the space's matrix, F = K * f over K = lcm(L, the value
-denominators), s = K / L and 1 - eps = c / b, both sides times b * K are
+D = L * d the space's matrix, f = F / K the function's own ints,
+s = K / L and 1 - eps = c / b, both sides times b * K are
 c * (|F_x - F_y| + s * D_uv) and b * s * (D_xu + D_yv).  The search, the
 `verify` replay of a found pair (`failing`) and the replay of each logged
 row (`sides`) all evaluate this one form; `Fraction` appears only when a
@@ -29,8 +30,7 @@ from typing import Any, NamedTuple, Optional, Sequence, Union
 from .errors import InvalidInput, SoundnessError
 from .functionals import PairMeasure
 from .lipschitz import LipschitzFunction, in_unit_ball
-from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
-                     make_pair_set)
+from .metric import FiniteMetricSpace, Pair, PairSet, make_pair_set
 from .monotone import (CmViolation, check_augmented, check_gamma,
                        check_gamma_cm, inf_extension, replay_witness)
 
@@ -62,8 +62,8 @@ class LipLtpInequality:
 
     Row (x, y) of candidate (u, v) reads lhs > rhs with
     lhs = c * (|F_x - F_y| + s * D_uv) and rhs = b * s * (D_xu + D_yv),
-    both over `denominator` = b * K, where 1 - eps = c / b, F = K * f over
-    K = lcm(L, value denominators), D = L * d and s = K / L.  Nothing is
+    both over `denominator` = b * K, where 1 - eps = c / b, f = F / K
+    holds the function's ints, D = L * d and s = K / L.  Nothing is
     rounded: lhs / (b K) and rhs / (b K) are exactly the two rational
     sides.  D_xu and D_yv are read as written, not by symmetry.
 
@@ -77,7 +77,7 @@ class LipLtpInequality:
                  f: LipschitzFunction, subset: Sequence[int]):
         if not 0 < eps < 1:
             raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-        K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
+        K, F = f.K, f.F
         s = K // space.scale
         b = eps.denominator
         c = b - eps.numerator

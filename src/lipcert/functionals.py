@@ -137,9 +137,7 @@ def _measure_objective(mu: PairMeasure, free: list[str]) -> list[Fraction]:
 
 def _point_to_function(space: FiniteMetricSpace, free: list[str],
                        point: Sequence[Fraction]) -> LipschitzFunction:
-    vals = {space.base: Fraction(0)}
-    vals.update(dict(zip(free, point)))
-    return LipschitzFunction(space, vals)
+    return LipschitzFunction(space, {space.base: 0} | dict(zip(free, point)))
 
 
 def _cm_norm(mu: PairMeasure, cert: CmCertificate) -> DualNormResult:
@@ -305,12 +303,9 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
         diam = Fraction(num, den)
         u, v = space.points[iu], space.points[iv]
         ibase = space.index(space.base)
-        f = LipschitzFunction(space, {
-            p: Fraction(x - dist[iv][ibase], scale)
-            for p, x in zip(space.points, dist[iv])})
-        g = LipschitzFunction(space, {
-            p: Fraction(x - dist[iu][ibase], scale)
-            for p, x in zip(space.points, dist[iu])})
+        f, g = (LipschitzFunction._scaled(
+            space, scale, [x - dist[i][ibase] for x in dist[i]])
+            for i in (iv, iu))
         result = SliceDiameterResult(diam, (u, v), f, g, "shortest-path")
         result.replay(mu, alpha)
         return result

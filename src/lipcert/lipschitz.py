@@ -3,27 +3,28 @@
 Holds the norm / difference-quotient computations, the unit-ball
 membership test, the two McShane-type extensions of a partial
 1-Lipschitz function, and integer rounding of a unit-ball function on
-integer metrics.  `lip_norm` computes the reported value in `Fraction`;
-`in_unit_ball` decides lip_norm <= 1 on the space's integer matrix
-without a division.
+integer metrics.  A `LipschitzFunction` holds ints F over one scale K,
+so `in_unit_ball`, `slope` and every replay read F and D = L * d as
+they are.  `lip_norm` computes the reported value in `Fraction`, the
+reference for `in_unit_ball`.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidInput
 from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
-                     _literal_parser, rational_str)
+                     _literal_parser, _scaled_str)
 
 
 class LipschitzFunction:
-    """Function M -> Q with value 0 at the base point."""
+    """Function M -> Q with value 0 at the base point, held as (K, F):
+    the value at `space.points[i]` is F[i] / K, and K is a positive
+    multiple of `space.scale`.  `values` and calls give `Fraction`s."""
 
     def __init__(self, space: FiniteMetricSpace,
                  values: Mapping[str, Fraction | int | str]):
-        self.space = space
         vals = {p: v if isinstance(v, Fraction) else Fraction(v)
                 for p, v in values.items()}
         missing = [p for p in space.points if p not in vals]
@@ -35,13 +36,29 @@ class LipschitzFunction:
         if vals[space.base] != 0:
             raise InvalidInput(
                 f"value at base {space.base!r} is {vals[space.base]}, not 0")
-        self.values = vals
+        self.space = space
+        self.K, F = _common_scale(space.scale,
+                                  [vals[p] for p in space.points])
+        self.F = tuple(F)
+
+    @classmethod
+    def _scaled(cls, space, K: int, F) -> LipschitzFunction:
+        """The function F / K, unchecked: K must be a positive multiple of
+        `space.scale` and F must be 0 at the base."""
+        f = cls.__new__(cls)
+        f.space, f.K, f.F = space, K, tuple(F)
+        return f
+
+    @property
+    def values(self) -> dict[str, Fraction]:
+        K = self.K
+        return {p: Fraction(x, K) for p, x in zip(self.space.points, self.F)}
 
     def __call__(self, p: str) -> Fraction:
-        return self.values[p]
+        return Fraction(self.F[self.space.index(p)], self.K)
 
     def is_integer_valued(self) -> bool:
-        return all(v.denominator == 1 for v in self.values.values())
+        return all(x % self.K == 0 for x in self.F)
 
 
 class PartialFunction:
@@ -76,23 +93,23 @@ def lip_norm(f: LipschitzFunction) -> Fraction:
     space = f.space
     best = Fraction(0)
     pts = space.points
+    vals = f.values
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            q = abs(f(x) - f(y)) / space.d(x, y)
+            q = abs(vals[x] - vals[y]) / space.d(x, y)
             if q > best:
                 best = q
     return best
 
 
 def in_unit_ball(f: LipschitzFunction) -> bool:
-    """Whether lip_norm(f) <= 1, decided on integers.
+    """Whether lip_norm(f) <= 1, decided on f's own ints.
 
-    With D = L * d and F = K * f over K = lcm(L, value denominators),
-    |f(x) - f(y)| <= d(x, y) iff |F_x - F_y| <= (K / L) * D_xy.
+    With D = L * d and f = F / K, |f(x) - f(y)| <= d(x, y) iff
+    |F_x - F_y| <= (K / L) * D_xy.
     """
-    space = f.space
-    K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
-    s = K // space.scale
+    space, F = f.space, f.F
+    s = f.K // space.scale
     n = len(F)
     for i, row in enumerate(space.int_dist):
         Fi = F[i]
@@ -103,9 +120,11 @@ def in_unit_ball(f: LipschitzFunction) -> bool:
 
 
 def slope(f: LipschitzFunction, pair: Pair) -> Fraction:
-    """Difference quotient (f(x) - f(y)) / d(x, y) for pair (x, y)."""
-    x, y = f.space.check_pair(pair)
-    return (f(x) - f(y)) / f.space.d(x, y)
+    """Difference quotient (F_x - F_y) / ((K / L) * D_xy) for (x, y)."""
+    space = f.space
+    x, y = map(space.index, space.check_pair(pair))
+    return Fraction(f.F[x] - f.F[y],
+                    f.K // space.scale * space.int_dist[x][y])
 
 
 def _extended(partial: PartialFunction, space: FiniteMetricSpace,
@@ -160,10 +179,7 @@ def floor_round(g: LipschitzFunction, pairs: PairSet) -> LipschitzFunction:
     for pair in pairs:
         if slope(g, pair) != 1:
             raise InvalidInput(f"difference quotient across {pair} is not 1")
-    base_floor = math.floor(g(space.base))
-    return LipschitzFunction(
-        space, {p: Fraction(math.floor(v) - base_floor)
-                for p, v in g.values.items()})
+    return LipschitzFunction._scaled(space, 1, [x // g.K for x in g.F])
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +187,15 @@ def floor_round(g: LipschitzFunction, pairs: PairSet) -> LipschitzFunction:
 
 def function_from_json(space: FiniteMetricSpace, obj: dict) -> LipschitzFunction:
     try:
-        raw = obj["values"]
-    except (KeyError, TypeError) as exc:
+        items = obj["values"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InvalidInput(f"malformed function JSON: {exc}") from None
     parse = _literal_parser()
-    return LipschitzFunction(space, {p: parse(v) for p, v in raw.items()})
+    return LipschitzFunction(space, {p: parse(v) for p, v in items})
 
 
 def function_to_json(f: LipschitzFunction) -> dict:
-    return {"values": {p: rational_str(f(p)) for p in f.space.points}}
+    """The reduced ``"p/q"`` literal of each F_p / K, whatever K is."""
+    K = f.K
+    return {"values": {p: _scaled_str(x, K)
+                       for p, x in zip(f.space.points, f.F)}}

@@ -50,10 +50,14 @@ class FiniteMetricSpace:
         # Own copies of the rows: the caller may change theirs later.
         self._cells, self._values = _compile_cells(dist)
         self.points: tuple[str, ...] = tuple(points)
-        self._index = {p: i for i, p in enumerate(self.points)}
+        try:
+            self._index = {p: i for i, p in enumerate(self.points)}
+            known_base = base in self._index
+        except TypeError as exc:  # a JSON list or object as a label
+            raise InvalidInput(f"bad point label: {exc}") from None
         if len(self._index) != len(self.points):
             raise InvalidInput("duplicate point labels")
-        if base not in self._index:
+        if not known_base:
             raise InvalidInput(f"unknown base label {base!r}")
         self.base = base
         n = len(self.points)
@@ -272,6 +276,12 @@ def parse_rational(s: str | int) -> Fraction:
 
 def rational_str(x: Fraction) -> str:
     return str(x)
+
+
+def _scaled_str(x: int, K: int) -> str:
+    """`rational_str(Fraction(x, K))` for K > 0, reduced by one gcd."""
+    g = math.gcd(x, K)
+    return str(x // g) if g == K else f"{x // g}/{K // g}"
 
 
 # The types a distance cell may have.  They are checked on every cell, not

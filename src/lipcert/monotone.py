@@ -33,9 +33,9 @@ the pairs (the witness, and both sides of every D2P certificate), and
 The kernels run on integers: with gamma = g / h and the space compiled to
 D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
 certificate replay, witness synthesis and witness replay work on the
-scale h * L (or a multiple of it).  Potentials, deficits and witness
-values become `Fraction` only when they are returned.  `beta`,
-`cycle_sum` and `brute_force_cm_oracle` stay in `Fraction` as
+scale h * L (or a multiple of it).  Certificates and witnesses hold the
+ints their builders computed, and each replay reads them as they are.
+`beta`, `cycle_sum` and `brute_force_cm_oracle` stay in `Fraction` as
 independent references.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import InvalidInput, SoundnessError
 from .lipschitz import LipschitzFunction, in_unit_ball
@@ -87,18 +87,38 @@ def _landing_inf(D, ends: list[tuple[int, int]], a: list[int], s: int,
     return out
 
 
-@dataclass(frozen=True)
 class CmCertificate:
-    """Feasible potentials proving gamma-cyclic monotonicity."""
-    pairs: PairSet
-    gamma: Fraction
-    potentials: tuple[Fraction, ...]  # indexed like `pairs`
+    """Feasible potentials proving gamma-cyclic monotonicity, held as ints
+    over one scale: a_i = ints[i] / scale for pair i.  `potentials` is the
+    `Fraction` view, and equality compares it."""
+
+    def __init__(self, pairs: PairSet, gamma: Fraction,
+                 potentials: Sequence[Fraction]):
+        self.pairs, self.gamma = pairs, gamma
+        self.scale, ints = _common_scale(1, potentials)
+        self.ints = tuple(ints)
+
+    @classmethod
+    def _scaled(cls, pairs, gamma, scale: int, ints) -> CmCertificate:
+        cert = cls.__new__(cls)
+        cert.pairs, cert.gamma = pairs, gamma
+        cert.scale, cert.ints = scale, tuple(ints)
+        return cert
+
+    @property
+    def potentials(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.scale) for a in self.ints)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CmCertificate)
+                and (self.pairs, self.gamma, self.potentials)
+                == (other.pairs, other.gamma, other.potentials))
 
     def replay(self, space: FiniteMetricSpace) -> None:
         """Check a_i <= a_j + beta_ij for all i, j on integers.
 
-        Over K = lcm(h * L, denominators of a) every potential is an
-        integer, and with s = K / (h L) the inequalities read
+        Over K = lcm(h * L, scale) every potential is an integer, and with
+        s = K / (h L) the inequalities read
         K a_i <= K a_j + s * min(h D[x_i][y_j] - g D[x_i][y_i],
         h D[y_i][y_j]).  For each i they are regrouped exactly into two:
 
@@ -110,11 +130,12 @@ class CmCertificate:
         for k landing points instead of O(m^2).  At the first failing i
         the failing j is found by scanning row i.
         """
-        if len(self.potentials) != len(self.pairs):
+        if len(self.ints) != len(self.pairs):
             raise SoundnessError("potential count does not match pair count")
         g, h = self.gamma.numerator, self.gamma.denominator
         hl = h * space.scale
-        K, a = _common_scale(hl, self.potentials)
+        K = math.lcm(hl, self.scale)
+        a = [x * (K // self.scale) for x in self.ints]
         s = K // hl
         sg = s * g
         D = space.int_dist
@@ -260,7 +281,7 @@ def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
         t = g * Dx[y]
         rows.append([min(h * Dx[q] - t, h * Dy[q]) for q in lands])
     k = len(lands)
-    potentials = None
+    potentials = None  # the distances over h * L
     if k < m and all(row[t] == 0 for row, t in zip(rows, at)):
         members: list[list[list[int]]] = [[] for _ in range(k)]
         for row, t in zip(rows, at):
@@ -270,19 +291,16 @@ def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
                  zip(*([min(c) for c in zip(*rs)] for rs in members))]
         qdist, _ = _bellman_ford(qcols, stop_at_cycle=True)
         if qdist is not None:
-            per_land = [Fraction(x, hl) for x in qdist]
-            potentials = tuple(per_land[t] for t in at)
+            potentials = [qdist[t] for t in at]
     if potentials is None:
         by_land = list(zip(*rows))
         cols = [list(by_land[t]) for t in at]
         # The zero diagonal makes the i == j relaxation a no-op.
         for j in range(m):
             cols[j][j] = 0
-        dist, cycle = _bellman_ford(cols, stop_at_cycle=False)
-        if dist is not None:
-            potentials = tuple(Fraction(x, hl) for x in dist)
+        potentials, cycle = _bellman_ford(cols, stop_at_cycle=False)
     if potentials is not None:
-        cert = CmCertificate(pairs, gamma, potentials)
+        cert = CmCertificate._scaled(pairs, gamma, hl, potentials)
         cert.replay(space)
         return cert
     assert cycle is not None
@@ -321,21 +339,21 @@ def inf_extension(space: FiniteMetricSpace,
     """The inf-extension of y_i -> alpha_i over the certificate's pairs,
     shifted to vanish at the base point, with no check of its own.
 
-    It is built on K = lcm(L, potential denominators) as
+    It is built on the certificate's ints over K = lcm(L, scale) as
     F_p = K * (min_i (alpha_i + d(p, y_i)) - the same at the base).  On
     potentials that pass `CmCertificate.replay` it is 1-Lipschitz with
     slope >= gamma across every pair; a caller that does not check that
     itself must call `synthesize_witness` instead.
     """
     if not cert.pairs:
-        return LipschitzFunction(space, {p: 0 for p in space.points})
-    K, a = _common_scale(space.scale, cert.potentials)
+        return LipschitzFunction._scaled(space, space.scale, [0] * len(space))
+    K = math.lcm(space.scale, cert.scale)
+    a = [x * (K // cert.scale) for x in cert.ints]
     ends = [(space.index(x), space.index(y)) for x, y in cert.pairs]
     vals = list(_landing_inf(space.int_dist, ends, a, K // space.scale,
                              range(len(space))).values())
     shift = vals[space.index(space.base)]
-    return LipschitzFunction(space, {p: Fraction(v - shift, K)
-                                     for p, v in zip(space.points, vals)})
+    return LipschitzFunction._scaled(space, K, [v - shift for v in vals])
 
 
 def replay_witness(pairs: PairSet, gamma: Fraction,
@@ -346,16 +364,15 @@ def replay_witness(pairs: PairSet, gamma: Fraction,
     gamma must lie in (0, 1], and every pair goes through `check_pair`
     first: a gamma out of range, or a degenerate or unknown pair, is
     `InvalidInput`, never a vacuous 0 >= 0.  The slopes are
-    decided on integers over K = lcm(L, value denominators): with
-    F = K * f and gamma = g / h, slope(f, (x, y)) >= gamma iff
-    h * L * (F_x - F_y) >= g * K * D_xy.
+    decided on f's own ints: with f = F / K and gamma = g / h,
+    slope(f, (x, y)) >= gamma iff h * L * (F_x - F_y) >= g * K * D_xy.
     """
     gamma = check_gamma(gamma)
     space = f.space
     pairs = [space.check_pair(pair) for pair in pairs]
     if not in_unit_ball(f):
         raise SoundnessError("witness escapes the unit ball")
-    K, F = _common_scale(space.scale, [f.values[p] for p in space.points])
+    K, F = f.K, f.F
     g, h = gamma.numerator, gamma.denominator
     hl, gk = h * space.scale, g * K
     D = space.int_dist
@@ -379,7 +396,7 @@ def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
     pairs = make_pair_set(space, pairs)
     if cert.pairs != pairs or cert.gamma != gamma:
         raise InvalidInput("certificate does not match the queried instance")
-    if len(cert.potentials) != len(pairs):
+    if len(cert.ints) != len(pairs):
         raise SoundnessError("potential count does not match pair count")
     f = inf_extension(space, cert)
     replay_witness(pairs, gamma, f)

@@ -963,6 +963,33 @@ def test_malformed_distance_cells_exit_1(files, capsys, rows, message):
         assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
+@pytest.mark.parametrize("points, base", [
+    ([[0], "b"], "b"),
+    ([[0], "b"], [1]),
+    (["a", "b"], [1]),
+])
+def test_unhashable_labels_exit_1(files, capsys, points, base):
+    """A JSON list as a point label or as the base is an `error:` line."""
+    m = files("m.json", {"points": points, "base": base,
+                         "distances": [[0, 1], [1, 0]]})
+    pairs = files("p.json", {"pairs": [["a", "b"]]})
+    for argv in (["check-cm", "--gamma", "1", "--pairs", pairs, m],
+                 ["validate", m]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == \
+            "error: bad point label: unhashable type: 'list'\n", argv
+
+
+@pytest.mark.parametrize("obj", [{"values": [0, 1]}, {"values": "01"},
+                                 {"value": {}}, [0, 1]])
+def test_malformed_function_json_exit_1(files, capsys, obj):
+    f = files("f.json", obj)
+    assert main(["lip-ltp", "--builtin", "line:2", "--eps", "1/2",
+                 "--subset", "0,1", "--function", f]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: malformed function JSON: ")
+
+
 def test_integer_steep_filter_matches_fraction_slopes(monkeypatch):
     """The battery's steep pairs, decided on integers, are the pairs of
     slope exactly 1 in `Fraction`, in `space.pairs()` order."""

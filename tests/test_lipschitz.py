@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -71,17 +72,23 @@ RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 
 
 @st.composite
-def metric_functions(draw):
-    """A function on a random rational metric: as drawn, rescaled to
-    norm exactly one (slopes of exactly 1), or rescaled and then nudged
-    by 1/97 at one point (mixed denominators either side of the bound)."""
+def rational_metrics(draw):
+    """A random metric on 2-6 points with rational distances."""
     n = draw(st.integers(2, 6))
     w = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             w[i][j] = w[j][i] = draw(
                 st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
-    space = FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", closure(w))
+    return FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", closure(w))
+
+
+@st.composite
+def metric_functions(draw):
+    """A function on a random rational metric: as drawn, rescaled to
+    norm exactly one (slopes of exactly 1), or rescaled and then nudged
+    by 1/97 at one point (mixed denominators either side of the bound)."""
+    space = draw(rational_metrics())
     vals = {p: draw(RATIONALS) for p in space.points}
     vals[space.base] = Fraction(0)
     mode = draw(st.sampled_from(["drawn", "norm-one", "nudged"]))
@@ -99,6 +106,32 @@ def metric_functions(draw):
 @given(metric_functions())
 def test_in_unit_ball_matches_lip_norm(f):
     assert in_unit_ball(f) == (lip_norm(f) <= 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_metrics(), st.data(), st.integers(2, 12))
+def test_integer_form_reads_as_its_fraction_values(space, data, c):
+    """A function holds ints F over K, a multiple of L.  Its values, its
+    calls and its JSON are those of the rationals it was built from, also
+    when the same function is held over K * c, a K that is not minimal;
+    its ball membership is lip_norm <= 1 on either scale."""
+    vals = {p: data.draw(RATIONALS) for p in space.points}
+    vals[space.base] = Fraction(0)
+    if data.draw(st.booleans()):
+        norm = max(abs(vals[x] - vals[y]) / space.d(x, y)
+                   for x, y in space.pairs())
+        if norm:  # rescaled to norm one: slopes of exactly 1
+            vals = {p: v / norm for p, v in vals.items()}
+    f = LipschitzFunction(space, vals)
+    assert f.K % space.scale == 0 and len(f.F) == len(space)
+    g = LipschitzFunction._scaled(space, f.K * c, [x * c for x in f.F])
+    text = json.dumps({"values": {p: str(vals[p]) for p in space.points}})
+    for h in (f, g):
+        assert h.values == vals
+        assert all(h(p) == vals[p] for p in space.points)
+        assert json.dumps(function_to_json(h)) == text
+        assert in_unit_ball(h) == (lip_norm(f) <= 1)
+    assert function_from_json(space, json.loads(text)).values == vals
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure
@@ -14,6 +16,7 @@ from lipcert.monotone import (CmCertificate, CmViolation, beta,
                               brute_force_cm_oracle, check_augmented,
                               check_gamma_cm, cycle_sum, prune_to_cm,
                               replay_witness, synthesize_witness)
+from lipcert.reports import cm_result_payload, verify_payload
 
 from conftest import (random_ball_function, random_pairs,
                       random_positive_measure, random_space)
@@ -259,6 +262,43 @@ def test_tampered_certificate_fails_replay():
         bad.replay(LINE3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(cm_instances())
+def test_certificate_survives_the_report_loader(case):
+    """A certificate of `check_gamma_cm` (ints over h L) and the one the
+    report loader rebuilds from its JSON rationals have equal potentials
+    and byte-identical payloads, and both replay."""
+    space, pairs, gamma = case
+    assume(all(space.int_dist[i][i] == 0 for i in range(len(space))))
+    cert = check_gamma_cm(space, pairs, gamma)
+    assume(isinstance(cert, CmCertificate))
+    assert cert.scale == gamma.denominator * space.scale
+    payload = cm_result_payload(space, cert)
+    with mock.patch.object(CmCertificate, "replay", autospec=True,
+                           side_effect=CmCertificate.replay) as replay:
+        verify_payload(payload)
+    loaded = replay.call_args.args[0]
+    assert loaded is not cert and loaded == cert
+    assert loaded.potentials == cert.potentials
+    assert json.dumps(cm_result_payload(space, loaded)) == json.dumps(payload)
+    loaded.replay(space)
+    cert.replay(space)
+
+
+def test_wrong_potential_count_is_a_soundness_error():
+    pairs = (("2", "1"), ("1", "0"))
+    cert = check_gamma_cm(LINE3, pairs, Fraction(1))
+    short = CmCertificate(pairs, Fraction(1), cert.potentials[:1])
+    with pytest.raises(SoundnessError, match="potential count"):
+        short.replay(LINE3)
+    with pytest.raises(SoundnessError, match="potential count"):
+        synthesize_witness(LINE3, pairs, Fraction(1), short)
+    payload = cm_result_payload(LINE3, cert)
+    payload["potentials"].append("0")
+    with pytest.raises(InvalidInput, match="report rejected: potential count"):
+        verify_payload(payload)
+
+
 def test_tampered_violation_fails_replay():
     result = check_gamma_cm(LINE3, (("0", "2"), ("2", "0")), HALF)
     bad = CmViolation(result.pairs, HALF, result.cycle, result.deficit - 1)
@@ -332,6 +372,26 @@ def test_replay_witness_is_the_ball_and_slope_check(case):
     for bad in ((p, p), (p, "nowhere")):
         with pytest.raises(InvalidInput):
             replay_witness(pairs + (bad,), gamma, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_candidates(), st.integers(2, 6))
+def test_replay_witness_matches_fraction_slopes_on_any_scale(case, c):
+    """The integer replay accepts f, and f held over K * c, exactly when
+    the `Fraction` slopes (f(x) - f(y)) / d(x, y) are all >= gamma and
+    lip_norm(f) <= 1."""
+    space, pairs, gamma, f, _ = case
+    vals = f.values
+    want = lip_norm(f) <= 1 and all(
+        (vals[x] - vals[y]) / space.d(x, y) >= gamma for x, y in pairs)
+    scaled = LipschitzFunction._scaled(space, f.K * c, [x * c for x in f.F])
+    for h in (f, scaled):
+        try:
+            replay_witness(pairs, gamma, h)
+            accepted = True
+        except SoundnessError:
+            accepted = False
+        assert accepted == want
 
 
 # ---------------------------------------------------------------------------
