@@ -12,11 +12,10 @@ from .metric import (FiniteMetricSpace, ValidationReport, builtin_space,
                      validate_metric)
 from .lipschitz import (LipschitzFunction, PartialFunction, floor_round,
                         function_from_json, function_to_json, in_unit_ball,
-                        lip_norm, mcshane_inf_extension, mcshane_sup_extension,
-                        slope)
+                        lip_norm, mcshane_sup_extension, slope)
 from .monotone import (CmCertificate, CmViolation, brute_force_cm_oracle,
-                       check_augmented, check_gamma_cm, prune_to_cm,
-                       replay_prune, replay_witness, synthesize_witness)
+                       check_augmented, check_gamma_cm, inf_extension,
+                       prune_to_cm, replay_prune, replay_witness)
 from .lpcore import LinearProgram, LpResult, solve_lp, solve_lps
 from .functionals import (PairMeasure, apply_measure, dual_norm, is_optimal,
                           measure_from_json, measure_to_json, positivize,
@@ -33,10 +32,10 @@ __all__ = [
     "reflect_set", "space_from_json", "space_to_json", "validate_metric",
     "LipschitzFunction", "PartialFunction", "floor_round",
     "function_from_json", "function_to_json", "in_unit_ball", "lip_norm",
-    "mcshane_inf_extension", "mcshane_sup_extension", "slope",
+    "mcshane_sup_extension", "slope",
     "CmCertificate", "CmViolation", "brute_force_cm_oracle",
-    "check_augmented", "check_gamma_cm", "prune_to_cm", "replay_prune",
-    "replay_witness", "synthesize_witness",
+    "check_augmented", "check_gamma_cm", "inf_extension", "prune_to_cm",
+    "replay_prune", "replay_witness",
     "LinearProgram", "LpResult", "solve_lp", "solve_lps",
     "PairMeasure", "apply_measure", "dual_norm", "is_optimal",
     "measure_from_json", "measure_to_json", "positivize", "slice_diameter",

@@ -25,8 +25,8 @@ from .lipschitz import (LipschitzFunction, PartialFunction, function_from_json,
                         lip_norm, mcshane_sup_extension, slope)
 from .metric import (FiniteMetricSpace, builtin_space, parse_rational,
                      space_from_json, validate_metric)
-from .monotone import (CmCertificate, check_gamma_cm, prune_to_cm,
-                       synthesize_witness)
+from .monotone import (CmCertificate, check_gamma_cm, inf_extension,
+                       prune_to_cm, replay_witness)
 
 EXIT_ERROR = 1
 
@@ -194,7 +194,8 @@ def cmd_witness(args, started) -> int:
     gamma = _rational(args, "gamma")
     result = check_gamma_cm(space, pairs, gamma)
     if isinstance(result, CmCertificate):
-        f = synthesize_witness(space, pairs, gamma, result)
+        f = inf_extension(space, result)
+        replay_witness(pairs, gamma, f)
         payload = reports.witness_payload(space, pairs, gamma, f)
         line = "unit-ball witness synthesized"
     else:
@@ -346,12 +347,10 @@ def _battery_measures(space: FiniteMetricSpace, seed: int, count: int):
     while count > 0:
         anchors = rng.sample(pts, 3)
         vals = {p: Fraction(rng.randint(0, 2)) for p in anchors}
-        partial = PartialFunction(space, vals)
         try:
-            partial.check_one_lipschitz()
+            f, _ = mcshane_sup_extension(PartialFunction(space, vals), space)
         except InvalidInput:
             continue
-        f, _ = mcshane_sup_extension(partial, space)
         steep = _steep_pairs(f)
         if not steep:
             continue

@@ -3,8 +3,9 @@
 The 2-Lip-LTP, LD2P and SD2P searches share one two-sided augmentation
 step and one replay, `replay_two_sided`, run by the searches, `verify`
 and `--emit-proof`.  It is two calls of `monotone.replay_witness`, the
-one check of "unit ball and slope >= gamma across pairs", which reads
-the ints (K, F) that `inf_extension` built from the potentials.  A replay
+one check of "unit ball and slope >= gamma across pairs" (the gate
+of the `witness` command too), which reads the ints (K, F) that
+`inf_extension` built from the potentials.  A replay
 failure raises `SoundnessError`: in a search it is a bug, and `verify`
 reports it as a rejected report.  `Ld2pCertificate.replay` checks that
 gamma lies in (0, 1] before it checks the mass of the selected pair
@@ -148,8 +149,8 @@ def _two_sided(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
     Returns (side, violation) at the first side that is not gamma-CM, else
     (None, (f, g)): f the inf-extension of the backward certificate, g of
     the forward one.  They are not checked here: every caller that emits
-    them runs `replay_two_sided` first, whose two `replay_witness` calls
-    are the gate `synthesize_witness` would apply."""
+    them runs `replay_two_sided` first, two `replay_witness` calls, the
+    gate the `witness` command puts on its one inf-extension."""
     fwd = check_augmented(space, pairs, gamma, u, v)
     if isinstance(fwd, CmViolation):
         return "forward", fwd

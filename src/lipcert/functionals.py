@@ -61,12 +61,6 @@ class PairMeasure:
         return sum((self.atoms.get(tuple(p), Fraction(0)) for p in pairs),
                    Fraction(0))
 
-    def positive_part(self) -> dict[Pair, Fraction]:
-        return {p: w for p, w in self.atoms.items() if w > 0}
-
-    def negative_part(self) -> dict[Pair, Fraction]:
-        return {p: -w for p, w in self.atoms.items() if w < 0}
-
     def scaled(self, factor: Fraction) -> "PairMeasure":
         if factor == 0:
             raise InvalidInput("cannot scale a measure by zero")

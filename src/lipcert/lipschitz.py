@@ -1,12 +1,12 @@
 """Real functions on a finite pointed metric space, vanishing at the base.
 
 Holds the norm / difference-quotient computations, the unit-ball
-membership test, the two McShane-type extensions of a partial
-1-Lipschitz function, and integer rounding of a unit-ball function on
-integer metrics.  A `LipschitzFunction` holds ints F over one scale K,
-so `in_unit_ball`, `slope` and every replay read F and D = L * d as
-they are.  `lip_norm` computes the reported value in `Fraction`, the
-reference for `in_unit_ball`.
+membership test, the McShane extension of a partial 1-Lipschitz
+function, and integer rounding of a unit-ball function on integer
+metrics.  A `LipschitzFunction` holds ints F over one scale K, so
+`in_unit_ball`, `slope`, the extension and every replay read F and
+D = L * d as they are.  `lip_norm` computes the reported value in
+`Fraction`, the reference for `in_unit_ball`.
 """
 from __future__ import annotations
 
@@ -74,19 +74,6 @@ class PartialFunction:
         for p in self.values:
             space.index(p)
 
-    @property
-    def domain(self) -> list[str]:
-        return [p for p in self.space.points if p in self.values]
-
-    def check_one_lipschitz(self) -> None:
-        dom = self.domain
-        for a in dom:
-            for b in dom:
-                if a != b and self.values[a] - self.values[b] > self.space.d(a, b):
-                    raise InvalidInput(
-                        f"partial function is not 1-Lipschitz: "
-                        f"f({a}) - f({b}) > d({a},{b})")
-
 
 def lip_norm(f: LipschitzFunction) -> Fraction:
     """Best Lipschitz constant: max |f(x)-f(y)| / d(x,y) over pairs."""
@@ -127,40 +114,34 @@ def slope(f: LipschitzFunction, pair: Pair) -> Fraction:
                     f.K // space.scale * space.int_dist[x][y])
 
 
-def _extended(partial: PartialFunction, space: FiniteMetricSpace,
-              sup: bool) -> tuple[LipschitzFunction, Fraction]:
-    partial.check_one_lipschitz()
-    dom = partial.domain
-    vals: dict[str, Fraction] = dict(partial.values)
-    for y in space.points:
-        if y in vals:
-            continue
-        if sup:
-            vals[y] = max(partial.values[x] - space.d(x, y) for x in dom)
-        else:
-            vals[y] = min(partial.values[x] + space.d(x, y) for x in dom)
-    shift = vals[space.base]
-    return (LipschitzFunction(space, {p: v - shift for p, v in vals.items()}),
-            shift)
-
-
 def mcshane_sup_extension(partial: PartialFunction,
                           space: FiniteMetricSpace
                           ) -> tuple[LipschitzFunction, Fraction]:
     """Largest 1-Lipschitz extension from below, re-based to vanish at 0.
 
-    Off the domain D the value is max over x in D of partial(x) - d(x, y);
-    the whole function is then shifted by the returned constant so that it
-    vanishes at the base point.
+    Off the domain the value is max over x in it of partial(x) - d(x, y)
+    (McShane); the whole function is then shifted by the returned constant
+    so that it vanishes at the base point.  Over K = lcm(L, denominators)
+    with A = K * partial and s = K / L, both the check
+    A_x - A_y <= s * D_xy and F_y = max_x (A_x - s * D_xy) run on ints.
     """
-    return _extended(partial, space, sup=True)
-
-
-def mcshane_inf_extension(partial: PartialFunction,
-                          space: FiniteMetricSpace
-                          ) -> tuple[LipschitzFunction, Fraction]:
-    """Smallest 1-Lipschitz extension from above (min of value + distance)."""
-    return _extended(partial, space, sup=False)
+    pts, D = space.points, space.int_dist
+    dom = sorted(map(space.index, partial.values))
+    K, A = _common_scale(space.scale, [partial.values[pts[i]] for i in dom])
+    s = K // space.scale
+    known = dict(zip(dom, A))
+    for i, a in known.items():
+        for j, b in known.items():
+            if i != j and a - b > s * D[i][j]:
+                raise InvalidInput(
+                    f"partial function is not 1-Lipschitz: "
+                    f"f({pts[i]}) - f({pts[j]}) > d({pts[i]},{pts[j]})")
+    F = [known[y] if y in known else max(a - s * D[i][y]
+                                         for i, a in known.items())
+         for y in range(len(pts))]
+    shift = F[space.index(space.base)]
+    return (LipschitzFunction._scaled(space, K, [v - shift for v in F]),
+            Fraction(shift, K))
 
 
 def floor_round(g: LipschitzFunction, pairs: PairSet) -> LipschitzFunction:

@@ -5,8 +5,8 @@ module (or anywhere downstream) uses floating point.  The constructor
 compiles each space to an integer form, once per distinct distance
 literal: the scale L (the lcm of the distance denominators) and the
 matrix D = L * d of ints.  The hot kernels (metric validation,
-Bellman-Ford, certificate replay, unit-ball membership, witness
-synthesis, slice shortest paths) run on D over a common scale such as
+Bellman-Ford, certificate replay, unit-ball membership, the witness
+inf-extension, slice shortest paths) run on D over a common scale such as
 h * L for gamma = g / h, and `Fraction` appears only at the API and JSON
 boundary.  The pair space M~ = {(x, y) : x != y} is never materialised:
 operations either receive explicit finite pair sets or iterate over all
@@ -27,6 +27,9 @@ from .errors import InvalidInput
 Pair = tuple[str, str]
 # A finite pair set; kept as a tuple so element order is deterministic.
 PairSet = tuple[Pair, ...]
+# The builders refuse a space above this many points before they allocate
+# its n x n matrix; the largest in use, example52:3, has 24.
+MAX_BUILTIN_POINTS = 1000
 
 
 class FiniteMetricSpace:
@@ -212,6 +215,8 @@ def build_line(n: int) -> FiniteMetricSpace:
     """Path metric on n collinear points 0, 1, ..., n-1 with unit steps."""
     if n < 1:
         raise InvalidInput("line needs at least one point")
+    if n > MAX_BUILTIN_POINTS:
+        raise InvalidInput(f"line:{n} is above {MAX_BUILTIN_POINTS} points")
     points = [str(i) for i in range(n)]
     dist = [[abs(i - j) for j in range(n)] for i in range(n)]
     return FiniteMetricSpace(points, "0", dist)
@@ -227,6 +232,9 @@ def build_example52(levels: int) -> FiniteMetricSpace:
     """
     if levels < 1:
         raise InvalidInput("levels must be >= 1")
+    if 6 + 6 * levels > MAX_BUILTIN_POINTS:
+        raise InvalidInput(f"example52:{levels} is above "
+                           f"{MAX_BUILTIN_POINTS} points")
     points = ["x1", "x2", "x3", "y1", "y2", "y3"]
     for j in range(1, levels + 1):
         for i in (1, 2, 3):

@@ -28,11 +28,12 @@ Each certificate kind has one replay, run by the builder and by `verify`
 alike: `CmCertificate.replay` and `CmViolation.replay` for the decision,
 `replay_witness` for a unit-ball function with slope >= gamma across
 the pairs (the witness, and both sides of every D2P certificate), and
-`replay_prune` for a pruned subset.
+`replay_prune` for a pruned subset.  A witness is the `inf_extension`
+of a certificate, and `replay_witness` is its one gate.
 
 The kernels run on integers: with gamma = g / h and the space compiled to
 D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
-certificate replay, witness synthesis and witness replay work on the
+certificate replay, the inf-extension and witness replay work on the
 scale h * L (or a multiple of it).  Certificates and witnesses hold the
 ints their builders computed, and each replay reads them as they are.
 `beta`, `cycle_sum` and `brute_force_cm_oracle` stay in `Fraction` as
@@ -53,7 +54,8 @@ from .metric import (FiniteMetricSpace, Pair, PairSet, _common_scale,
 
 
 def check_gamma(gamma: Fraction) -> Fraction:
-    gamma = Fraction(gamma)
+    if not isinstance(gamma, Fraction):
+        gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
         raise InvalidInput(f"gamma must lie in (0, 1], got {gamma}")
     return gamma
@@ -342,8 +344,9 @@ def inf_extension(space: FiniteMetricSpace,
     It is built on the certificate's ints over K = lcm(L, scale) as
     F_p = K * (min_i (alpha_i + d(p, y_i)) - the same at the base).  On
     potentials that pass `CmCertificate.replay` it is 1-Lipschitz with
-    slope >= gamma across every pair; a caller that does not check that
-    itself must call `synthesize_witness` instead.
+    slope >= gamma across every pair.  Callers gate it with
+    `replay_witness` (`witness`, `replay_two_sided`), so bad potentials
+    end in `SoundnessError`, never in a wrong function.
     """
     if not cert.pairs:
         return LipschitzFunction._scaled(space, space.scale, [0] * len(space))
@@ -382,31 +385,10 @@ def replay_witness(pairs: PairSet, gamma: Fraction,
             raise SoundnessError(f"witness slope below {gamma} across {pair}")
 
 
-def synthesize_witness(space: FiniteMetricSpace, pairs: PairSet,
-                       gamma: Fraction, cert: CmCertificate) -> LipschitzFunction:
-    """Unit-ball function with difference quotient >= gamma across `pairs`.
-
-    Built as the inf-extension of y_i -> alpha_i, then shifted to vanish
-    at the base point.  The certificate is not replayed again (the
-    callers take it from `check_gamma_cm`, which has just replayed it):
-    `replay_witness` gates the result, so bad potentials end in
-    `SoundnessError`, never in a wrong function.
-    """
-    gamma = check_gamma(gamma)
-    pairs = make_pair_set(space, pairs)
-    if cert.pairs != pairs or cert.gamma != gamma:
-        raise InvalidInput("certificate does not match the queried instance")
-    if len(cert.ints) != len(pairs):
-        raise SoundnessError("potential count does not match pair count")
-    f = inf_extension(space, cert)
-    replay_witness(pairs, gamma, f)
-    return f
-
-
 def check_augmented(space: FiniteMetricSpace, pairs: PairSet, gamma: Fraction,
                     u: str, v: str) -> CmResult:
     """Decide gamma-CM of A union {(u, v)}.  No witness: the caller
-    synthesizes one from the certificate if it needs one."""
+    builds one with `inf_extension` if it needs one."""
     if u == v:
         raise InvalidInput("u and v must differ")
     return check_gamma_cm(space, tuple(pairs) + ((u, v),), gamma)

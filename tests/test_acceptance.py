@@ -23,7 +23,7 @@ from lipcert.lipschitz import (LipschitzFunction, PartialFunction, floor_round,
 from lipcert.metric import build_example52
 from lipcert.monotone import (CmCertificate, CmViolation,
                               brute_force_cm_oracle, check_gamma_cm,
-                              prune_to_cm, synthesize_witness)
+                              inf_extension, prune_to_cm, replay_witness)
 from lipcert.lpcore import LinearProgram, solve_lp
 
 from conftest import (random_ball_function, random_pairs,
@@ -151,7 +151,8 @@ def test_criterion_4_witness_duality(announce):
         if not isinstance(result, CmCertificate):
             continue
         certified += 1
-        f = synthesize_witness(space, pairs, gamma, result)
+        f = inf_extension(space, result)
+        replay_witness(pairs, gamma, f)
         assert lip_norm(f) <= 1
         assert f(space.base) == 0
         assert all(slope(f, p) >= gamma for p in pairs)

@@ -10,7 +10,8 @@ import lipcert
 from lipcert import cli
 from lipcert.cli import EXAMPLE52_N, example52_function, main
 from lipcert.lipschitz import function_to_json, slope
-from lipcert.metric import build_example52, build_line, space_to_json
+from lipcert.metric import (MAX_BUILTIN_POINTS, build_example52, build_line,
+                            space_to_json)
 from lipcert.monotone import brute_force_cm_oracle
 
 LINE3_JSON = space_to_json(build_line(3))
@@ -86,6 +87,23 @@ def test_builtin_spaces_and_missing_metric(files, capsys):
     assert code == 0
     code = main(["norm", mu])
     assert code == 1
+
+
+def test_builtin_above_the_point_cap_is_an_error_line(files, capsys):
+    """`--builtin` and `example52 --levels` one step above the cap end
+    with exit 1 and an `error:` line, not an allocation."""
+    cap = MAX_BUILTIN_POINTS
+    levels = (cap - 6) // 6 + 1
+    pairs = files("p.json", DESCENT_PAIRS)
+    for argv, name in (
+            (["check-cm", "--gamma", "1", "--pairs", pairs,
+              "--builtin", f"line:{cap + 1}"], f"line:{cap + 1}"),
+            (["validate", "--builtin", f"example52:{levels}"],
+             f"example52:{levels}"),
+            (["example52", "--levels", str(levels)], f"example52:{levels}")):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == \
+            f"error: {name} is above {cap} points\n", argv
 
 
 def test_slice_normalize_flag(files, capsys):

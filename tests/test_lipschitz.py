@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lipcert.cli import example52_function
 from lipcert.errors import InvalidInput
 from lipcert.lipschitz import (LipschitzFunction, PartialFunction, floor_round,
                                function_from_json, function_to_json,
-                               in_unit_ball, lip_norm, mcshane_inf_extension,
-                               mcshane_sup_extension, slope)
+                               in_unit_ball, lip_norm, mcshane_sup_extension,
+                               slope)
 from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 
 from conftest import closure, random_space
@@ -139,17 +139,15 @@ def test_integer_form_reads_as_its_fraction_values(space, data, c):
 
 def test_extensions_identity_on_full_domain():
     part = PartialFunction(LINE3, {"0": 0, "1": 1, "2": 2})
-    for ext in (mcshane_sup_extension, mcshane_inf_extension):
-        f, shift = ext(part, LINE3)
-        assert shift == 0
-        assert all(f(p) == IDENT(p) for p in LINE3.points)
+    f, shift = mcshane_sup_extension(part, LINE3)
+    assert shift == 0
+    assert all(f(p) == IDENT(p) for p in LINE3.points)
 
 
 def test_extensions_fill_middle_of_line():
     part = PartialFunction(LINE3, {"0": 0, "2": 2})
-    for ext in (mcshane_sup_extension, mcshane_inf_extension):
-        f, _ = ext(part, LINE3)
-        assert f("1") == 1
+    f, _ = mcshane_sup_extension(part, LINE3)
+    assert f("1") == 1
 
 
 def test_sup_extension_from_base_singleton():
@@ -163,6 +161,77 @@ def test_extension_rejects_non_lipschitz_partial():
     part = PartialFunction(LINE3, {"0": 0, "1": 5})
     with pytest.raises(InvalidInput):
         mcshane_sup_extension(part, LINE3)
+    # A label of another space is refused, not extended.
+    elsewhere = PartialFunction(build_line(4), {"0": 0, "3": 1})
+    with pytest.raises(InvalidInput, match="unknown point label '3'"):
+        mcshane_sup_extension(elsewhere, LINE3)
+
+
+def fraction_sup_extension(partial, space):
+    """The McShane sup-extension in `Fraction`, as a reference: the same
+    check and message, F_y = max_x (partial(x) - d(x, y)) off the domain,
+    then shifted to vanish at the base.  Returns (values, shift)."""
+    vals = partial.values
+    dom = [p for p in space.points if p in vals]
+    for a in dom:
+        for b in dom:
+            if a != b and vals[a] - vals[b] > space.d(a, b):
+                raise InvalidInput(f"partial function is not 1-Lipschitz: "
+                                   f"f({a}) - f({b}) > d({a},{b})")
+    ext = {y: vals[y] if y in vals else max(vals[x] - space.d(x, y)
+                                            for x in dom)
+           for y in space.points}
+    shift = ext[space.base]
+    return {p: v - shift for p, v in ext.items()}, shift
+
+
+PARTIAL_VALUES = st.builds(Fraction, st.integers(-12, 12),
+                           st.sampled_from([1, 2, 3, 7, 8, 9, 11, 13]))
+
+
+@st.composite
+def partial_functions(draw):
+    """A partial function on a rational metric with L > 1, some value of
+    which has a denominator that does not divide L: as drawn (mostly not
+    1-Lipschitz), rescaled to slope exactly 1 on its domain, or rescaled
+    and then nudged by 1/97 at one point."""
+    space = draw(rational_metrics().filter(lambda s: s.scale > 1))
+    dom = draw(st.lists(st.sampled_from(space.points), min_size=1,
+                        max_size=len(space), unique=True))
+    vals = {p: draw(PARTIAL_VALUES) for p in dom}
+    mode = draw(st.sampled_from(["drawn", "slope-one", "nudged"]))
+    norm = max((abs(vals[x] - vals[y]) / space.d(x, y)
+                for x in dom for y in dom if x != y), default=0)
+    if mode != "drawn" and norm > 0:
+        vals = {p: v / norm for p, v in vals.items()}
+        if mode == "nudged":
+            vals[draw(st.sampled_from(dom))] += draw(st.sampled_from(
+                [Fraction(1, 97), Fraction(-1, 97)]))
+    assume(any(space.scale % v.denominator for v in vals.values()))
+    return space, PartialFunction(space, vals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_functions())
+def test_sup_extension_matches_the_fraction_formula(case):
+    """The integer extension gives the `Fraction` formula's values, shift
+    and JSON byte for byte, and refuses a partial function that is not
+    1-Lipschitz with the same message."""
+    space, part = case
+    try:
+        want, want_shift = fraction_sup_extension(part, space)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput) as got:
+            mcshane_sup_extension(part, space)
+        assert str(got.value) == str(exc)
+        return
+    f, shift = mcshane_sup_extension(part, space)
+    assert f.values == want and shift == want_shift
+    assert type(shift) is Fraction
+    assert f.K % space.scale == 0
+    assert json.dumps(function_to_json(f)) == json.dumps(
+        {"values": {p: str(want[p]) for p in space.points}})
+    assert in_unit_ball(f)
 
 
 def _lipschitz_samples(rng, space, dom_vals, count):
@@ -188,8 +257,8 @@ def _lipschitz_samples(rng, space, dom_vals, count):
 
 
 def test_sup_extension_is_pointwise_minimal(rng):
-    """Every 1-Lipschitz extension dominates the sup-extension (and is
-    dominated by the inf-extension), checked against grid samples."""
+    """Every 1-Lipschitz extension dominates the sup-extension, checked
+    against grid samples."""
     for _ in range(25):
         space = random_space(rng, 5)
         dom = rng.sample(space.points, rng.randint(1, len(space) - 1))
@@ -201,10 +270,9 @@ def test_sup_extension_is_pointwise_minimal(rng):
             anchor[p] = lo + Fraction(rng.randint(0, steps), 4) if steps else lo
         part = PartialFunction(space, anchor)
         low, lo_shift = mcshane_sup_extension(part, space)
-        high, hi_shift = mcshane_inf_extension(part, space)
         for vals in _lipschitz_samples(rng, space, anchor, 8):
             for p in space.points:
-                assert low(p) + lo_shift <= vals[p] <= high(p) + hi_shift
+                assert low(p) + lo_shift <= vals[p]
 
 
 # ---------------------------------------------------------------------------

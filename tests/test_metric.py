@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipcert.errors import InvalidInput
-from lipcert.metric import (FiniteMetricSpace, build_example52, build_line,
-                            builtin_space, make_pair_set, parse_rational,
+from lipcert.metric import (MAX_BUILTIN_POINTS, FiniteMetricSpace,
+                            build_example52, build_line, builtin_space,
+                            make_pair_set, parse_rational,
                             project, reflect, reflect_set, space_from_json,
                             space_to_json, validate_metric)
 
@@ -220,3 +222,30 @@ def test_builtin_space_resolution():
     for bad in ("example52", "line:x", "torus:3"):
         with pytest.raises(InvalidInput):
             builtin_space(bad)
+
+
+# The fewest example52 levels whose space has more than the cap's points.
+OVER_CAP_LEVELS = (MAX_BUILTIN_POINTS - 6) // 6 + 1
+
+
+def test_builtin_sizes_are_refused_above_the_cap_before_allocation():
+    """One point cap for both builders, far above every size in use, and
+    the refusal comes before the n x n matrix exists."""
+    assert len(build_example52(3)) == 24 < MAX_BUILTIN_POINTS // 10
+    assert 6 + 6 * OVER_CAP_LEVELS > MAX_BUILTIN_POINTS
+    for build, size, name in (
+            (build_line, MAX_BUILTIN_POINTS + 1, "line"),
+            (build_example52, OVER_CAP_LEVELS, "example52")):
+        for call in (lambda: build(size), lambda: builtin_space(
+                f"{name}:{size}")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidInput, match=(
+                        f"^{name}:{size} is above {MAX_BUILTIN_POINTS} "
+                        "points$")):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, peak
+    assert len(build_line(MAX_BUILTIN_POINTS)) == MAX_BUILTIN_POINTS

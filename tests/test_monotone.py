@@ -14,8 +14,8 @@ from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
 from lipcert.metric import FiniteMetricSpace, build_example52, build_line
 from lipcert.monotone import (CmCertificate, CmViolation, beta,
                               brute_force_cm_oracle, check_augmented,
-                              check_gamma_cm, cycle_sum, prune_to_cm,
-                              replay_witness, synthesize_witness)
+                              check_gamma, check_gamma_cm, cycle_sum,
+                              inf_extension, prune_to_cm, replay_witness)
 from lipcert.reports import cm_result_payload, verify_payload
 
 from conftest import (random_ball_function, random_pairs,
@@ -54,6 +54,18 @@ def test_gamma_range_is_enforced():
     for gamma in (0, -1, Fraction(3, 2)):
         with pytest.raises(InvalidInput):
             check_gamma_cm(LINE3, (), gamma)
+
+
+def test_check_gamma_keeps_a_fraction_and_converts_the_rest():
+    half = Fraction(1, 2)
+    assert check_gamma(half) is half
+    for given, want in ((1, Fraction(1)), ("3/4", Fraction(3, 4)),
+                        (Fraction(1), Fraction(1))):
+        got = check_gamma(given)
+        assert type(got) is Fraction and got == want
+    for gamma in (0, -1, Fraction(3, 2), "0", "5/4", Fraction(0)):
+        with pytest.raises(InvalidInput, match=r"gamma must lie in \(0, 1\]"):
+            check_gamma(gamma)
 
 
 def test_oracle_examples():
@@ -235,22 +247,18 @@ def test_regrouped_replay_matches_the_all_pairs_check(case, seed):
 
 def test_witness_for_empty_set_is_zero():
     cert = check_gamma_cm(LINE3, (), Fraction(1))
-    f = synthesize_witness(LINE3, (), Fraction(1), cert)
+    f = inf_extension(LINE3, cert)
+    replay_witness((), Fraction(1), f)
     assert all(f(p) == 0 for p in LINE3.points)
 
 
 def test_witness_on_line_descent():
     pairs = (("2", "1"), ("1", "0"))
     cert = check_gamma_cm(LINE3, pairs, Fraction(1))
-    f = synthesize_witness(LINE3, pairs, Fraction(1), cert)
+    f = inf_extension(LINE3, cert)
+    replay_witness(pairs, Fraction(1), f)
     assert lip_norm(f) <= 1
     assert slope(f, ("2", "1")) == 1 and slope(f, ("1", "0")) == 1
-
-
-def test_witness_rejects_mismatched_certificate():
-    cert = check_gamma_cm(LINE3, (("2", "1"),), Fraction(1))
-    with pytest.raises(InvalidInput):
-        synthesize_witness(LINE3, (("1", "0"),), Fraction(1), cert)
 
 
 def test_tampered_certificate_fails_replay():
@@ -291,8 +299,6 @@ def test_wrong_potential_count_is_a_soundness_error():
     short = CmCertificate(pairs, Fraction(1), cert.potentials[:1])
     with pytest.raises(SoundnessError, match="potential count"):
         short.replay(LINE3)
-    with pytest.raises(SoundnessError, match="potential count"):
-        synthesize_witness(LINE3, pairs, Fraction(1), short)
     payload = cm_result_payload(LINE3, cert)
     payload["potentials"].append("0")
     with pytest.raises(InvalidInput, match="report rejected: potential count"):
@@ -313,8 +319,9 @@ SHIFTS = [Fraction(0)] * 4 + [Fraction(k, 4) for k in (-8, -3, -1, 1, 2, 5)]
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)]))
 def test_witness_from_tampered_potentials_is_sound_or_refused(seed, gamma):
-    """The certificate is not replayed again; the witness's own checks
-    must refuse bad potentials or return a function that really is one."""
+    """The certificate is not replayed again; `replay_witness` must
+    refuse the inf-extension of bad potentials or pass a function that
+    really is a witness."""
     rng = random.Random(seed)
     space = random_space(rng, 5)
     pairs = random_pairs(rng, space, 4)
@@ -323,8 +330,9 @@ def test_witness_from_tampered_potentials_is_sound_or_refused(seed, gamma):
              else (Fraction(0),) * len(pairs))
     cert = CmCertificate(pairs, gamma,
                          tuple(a + rng.choice(SHIFTS) for a in start))
+    f = inf_extension(space, cert)
     try:
-        f = synthesize_witness(space, pairs, gamma, cert)
+        replay_witness(pairs, gamma, f)
     except SoundnessError:
         return
     assert lip_norm(f) <= 1
