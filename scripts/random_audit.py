@@ -12,11 +12,12 @@ from fractions import Fraction
 
 sys.path.insert(0, "tests")
 
-from lipcert.functionals import dual_norm, is_optimal
+from lipcert.functionals import is_optimal
 from lipcert.monotone import (CmCertificate, brute_force_cm_oracle,
                               check_gamma_cm)
 
-from conftest import random_pairs, random_positive_measure, random_space
+from conftest import (lp_norm, random_pairs, random_positive_measure,
+                      random_space)
 
 GAMMAS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
@@ -44,8 +45,7 @@ def main() -> int:
 
         mu = random_positive_measure(rng, space)
         verdict = is_optimal(mu)
-        lp = dual_norm(mu, force_lp=True)
-        if verdict.optimal != (lp.norm == mu.total_variation()):
+        if verdict.optimal != (lp_norm(mu) == mu.total_variation()):
             print(f"MISMATCH (optimality) at instance {i}")
             return 1
         optimal += verdict.optimal

@@ -7,9 +7,8 @@ replay their defining inequalities before they are returned.
 
 from .errors import InvalidInput, SoundnessError
 from .metric import (FiniteMetricSpace, ValidationReport, builtin_space,
-                     build_example52, build_line, make_pair_set, project,
-                     reflect, reflect_set, space_from_json, space_to_json,
-                     validate_metric)
+                     build_example52, build_line, make_pair_set, reflect,
+                     space_from_json, space_to_json, validate_metric)
 from .lipschitz import (LipschitzFunction, PartialFunction, floor_round,
                         function_from_json, function_to_json, in_unit_ball,
                         lip_norm, mcshane_sup_extension, slope)
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "InvalidInput", "SoundnessError",
     "FiniteMetricSpace", "ValidationReport", "builtin_space",
-    "build_example52", "build_line", "make_pair_set", "project", "reflect",
-    "reflect_set", "space_from_json", "space_to_json", "validate_metric",
+    "build_example52", "build_line", "make_pair_set", "reflect",
+    "space_from_json", "space_to_json", "validate_metric",
     "LipschitzFunction", "PartialFunction", "floor_round",
     "function_from_json", "function_to_json", "in_unit_ball", "lip_norm",
     "mcshane_sup_extension", "slope",

@@ -31,6 +31,8 @@ from .monotone import (CmCertificate, check_gamma_cm, inf_extension,
 EXIT_ERROR = 1
 
 EXAMPLE52_EPS = Fraction(1, 14)
+# The most random measures `example52` draws; each costs one LD2P search.
+MAX_RANDOM_MEASURES = 1000
 # The hand-built norm-one function used in the w*-D2P refutation: 0 on
 # x1 and y3, 1/2 on y2, 3/2 on y1 and x3, 2 on x2, 1 on every detour point.
 EXAMPLE52_N = ("x1", "x2", "x3", "y1", "y2", "y3")
@@ -102,7 +104,16 @@ def _rational(args, flag: str) -> Fraction:
 
 def emit(args, payload: dict, started: float, text_lines: list[str]) -> int:
     """Print the report around `payload`; return its exit code.  The
-    verdict, exit code and inputs hash come from `reports.envelope`."""
+    verdict, exit code and inputs hash come from `reports.envelope`.  A
+    proof is written first: if it cannot be, no report is printed."""
+    if args.emit_proof:
+        proof = render_proof(payload)
+        try:
+            with open(args.emit_proof, "w") as fh:
+                fh.write(proof)
+        except OSError as exc:
+            raise InvalidInput(
+                f"cannot write {args.emit_proof}: {exc}") from None
     envelope = reports.envelope(payload)
     report = {
         "command": getattr(args, "argv_echo", [args.cmd]),
@@ -116,9 +127,6 @@ def emit(args, payload: dict, started: float, text_lines: list[str]) -> int:
         print(f"[{envelope['verdict']}]")
         for line in text_lines:
             print(" ", line)
-    if args.emit_proof:
-        with open(args.emit_proof, "w") as fh:
-            fh.write(render_proof(payload))
     return envelope["exit_code"]
 
 
@@ -315,9 +323,9 @@ def cmd_verify(args, started) -> int:
     if not isinstance(report, dict):
         raise InvalidInput(f"{args.report} does not hold a report object")
     summary = reports.verify_payload(report)
-    payload = report.get("payload", report)
     return emit(args, {"kind": "verify", "summary": summary,
-                       "space": payload.get("space")}, started, [summary])
+                       "report_inputs_sha256": report.get("inputs_sha256")},
+                started, [summary])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +382,14 @@ def _battery_run(mu: functionals.PairMeasure, gamma: Fraction) -> dict:
 
 
 def cmd_example52(args, started) -> int:
+    try:
+        seed = int(os.environ.get("LIPFREE_SEED", "0"))
+    except ValueError:
+        raise InvalidInput("LIPFREE_SEED must be an integer, got "
+                           f"{os.environ['LIPFREE_SEED']!r}") from None
+    if not 0 <= args.random_measures <= MAX_RANDOM_MEASURES:
+        raise InvalidInput("--random-measures must lie in 0.."
+                           f"{MAX_RANDOM_MEASURES}, got {args.random_measures}")
     space = builtin_space(f"example52:{args.levels}")
     gamma = _rational(args, "gamma")
     payload: dict = {"kind": "example52", "levels": args.levels,
@@ -393,7 +409,6 @@ def cmd_example52(args, started) -> int:
                          f"{len(result.violations)} violation rows")
 
     if args.part in ("ld2p", "all"):
-        seed = int(os.environ.get("LIPFREE_SEED", "0"))
         results = [_battery_run(mu, gamma) for mu in
                    _battery_measures(space, seed, args.random_measures)]
         found = sum(1 for r in results if r["found"])

@@ -6,13 +6,14 @@ positivises measures, computes the exact dual norm, decides optimality
 (norm attainment), and computes slice diameters.
 
 Dual norms and slice problems are linear programs over the unit ball
-constraints f(p) - f(q) <= d(p, q).  The general route goes through the
-exact simplex in `lpcore`; when the feasible set is a pure difference
-system (single-atom slice constraints, cyclically monotonic supports)
-an exact shortest-path route is used instead, and the two routes are
-cross-checked against each other in the test suite.  Every route ends
-in its result's one replay, `DualNormResult.replay` or
-`SliceDiameterResult.replay`, which `verify` runs on a report as well.
+constraints f(p) - f(q) <= d(p, q); each problem picks its route from
+its input alone.  `_norm` settles a positive measure with 1-cyclically
+monotonic support by the certificate's inf-extension, and any other
+measure by the exact simplex in `lpcore`.  A slice of one positive atom
+is a difference system, solved by exact all-pairs shortest paths; any
+other slice is one LP.  Every route ends in its result's one replay,
+`DualNormResult.replay` or `SliceDiameterResult.replay`, which `verify`
+runs on a report as well.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .lipschitz import LipschitzFunction, in_unit_ball, slope
 from .lpcore import LinearProgram, solve_lp, solve_lps
 from .metric import (FiniteMetricSpace, Pair, PairSet, parse_rational,
                      rational_str, reflect)
-from .monotone import (CmCertificate, CmViolation, check_gamma_cm,
+from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma_cm,
                        inf_extension)
 
 class PairMeasure:
@@ -134,39 +135,37 @@ def _point_to_function(space: FiniteMetricSpace, free: list[str],
     return LipschitzFunction(space, {space.base: 0} | dict(zip(free, point)))
 
 
-def _cm_norm(mu: PairMeasure, cert: CmCertificate) -> DualNormResult:
-    """The norm of a positive measure whose support `cert` certifies 1-CM.
-    It is the total mass: that bounds the norm from above, and the
-    certificate's inf-extension attains it.  `DualNormResult.replay` is
-    the witness's only check."""
-    result = DualNormResult(mu.total_mass(), inf_extension(mu.space, cert),
-                            "cm-witness")
+def _norm(mu: PairMeasure, support: Optional[CmResult]) -> DualNormResult:
+    """The norm of mu with an attaining maximizer, replayed.  `support` is
+    the 1-CM verdict on the support of a positive measure, or None for any
+    other measure.  A certificate settles the norm as the total mass: that
+    bounds the norm from above, and the certificate's inf-extension attains
+    it.  Anything else goes to the ball LP."""
+    space = mu.space
+    if isinstance(support, CmCertificate):
+        result = DualNormResult(mu.total_mass(), inf_extension(space, support),
+                                "cm-witness")
+    else:
+        lp, free = _ball_lp(space)
+        lp.set_objective(_measure_objective(mu, free))
+        res = solve_lp(lp)
+        if res.status != "optimal":
+            raise SoundnessError(f"ball LP came back {res.status}")
+        result = DualNormResult(
+            res.value, _point_to_function(space, free, res.point), "lp")
     result.replay(mu)
     return result
 
 
-def dual_norm(mu: PairMeasure, force_lp: bool = False) -> DualNormResult:
+def dual_norm(mu: PairMeasure) -> DualNormResult:
     """Exact norm of the induced functional, with an attaining maximizer.
 
-    If the measure is positive with cyclically monotonic support, the
-    synthesized slope-1 witness attains total mass and settles the norm
-    without an LP; otherwise the ball LP is solved by exact simplex.
-    Either result passes `DualNormResult.replay` before it is returned.
+    `_norm` gets the 1-CM verdict on the support of a positive measure,
+    and None for any other measure.
     """
-    space = mu.space
-    if not force_lp and mu.is_positive():
-        verdict = check_gamma_cm(space, mu.support(), Fraction(1))
-        if isinstance(verdict, CmCertificate):
-            return _cm_norm(mu, verdict)
-    lp, free = _ball_lp(space)
-    lp.set_objective(_measure_objective(mu, free))
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise SoundnessError(f"ball LP came back {res.status}")
-    result = DualNormResult(res.value,
-                            _point_to_function(space, free, res.point), "lp")
-    result.replay(mu)
-    return result
+    verdict = (check_gamma_cm(mu.space, mu.support(), Fraction(1))
+               if mu.is_positive() else None)
+    return _norm(mu, verdict)
 
 
 @dataclass(frozen=True)
@@ -181,18 +180,18 @@ def is_optimal(mu: PairMeasure) -> OptimalityVerdict:
     """Norm attainment for a positive measure.
 
     For finitely supported positive measures optimality collapses to the
-    support being cyclically monotonic.  `_cm_norm`'s replay alone proves
-    a certified support: the norm is at most the total mass, which the
-    replayed inf-extension attains.  Otherwise the LP norm gives the gap.
+    support being cyclically monotonic.  On a certified support `_norm`'s
+    replay alone proves it: the norm is at most the total mass, which the
+    replayed inf-extension attains.  Otherwise its LP norm gives the gap.
     """
     if not mu.is_positive():
         raise InvalidInput("optimality is defined for positive measures; "
                            "positivize first")
     verdict = check_gamma_cm(mu.space, mu.support(), Fraction(1))
+    norm = _norm(mu, verdict).norm
     if isinstance(verdict, CmCertificate):
-        _cm_norm(mu, verdict)
         return OptimalityVerdict(True, verdict, None, None)
-    gap = mu.total_variation() - dual_norm(mu, force_lp=True).norm
+    gap = mu.total_variation() - norm
     if gap <= 0:
         raise SoundnessError("support not CM but LP attains total mass")
     return OptimalityVerdict(False, None, verdict, gap)
@@ -260,16 +259,16 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
-def slice_diameter(mu: PairMeasure, alpha: Fraction,
-                   force_lp: bool = False) -> SliceDiameterResult:
+def slice_diameter(mu: PairMeasure, alpha: Fraction) -> SliceDiameterResult:
     """Supremal diameter of the slice {f in ball : mu(f) > 1 - alpha}.
 
     Requires the measure to induce a norm-one functional.  The closed
     slice is used in the optimisation; its maximum equals the supremum
-    over the open slice.  Single-atom measures go through exact all-pairs
-    shortest paths.  General measures maximise the slope across every
-    ordered pair (u, v) over the ball-plus-slice polytope: one LP with
-    n(n - 1) objectives, solved from one tableau by `solve_lps`.
+    over the open slice.  Single-atom positive measures go through exact
+    all-pairs shortest paths.  Every other measure maximises the slope
+    across every ordered pair (u, v) over the ball-plus-slice polytope:
+    one LP whose n(n - 1) objectives are its own ball rows, solved from
+    one tableau by `solve_lps`; f and g are built for the best pair only.
     """
     alpha = _check_alpha(alpha)
     space = mu.space
@@ -279,7 +278,7 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
     if len(space) < 2:
         raise InvalidInput("slice diameter needs at least two points")
 
-    if len(mu.atoms) == 1 and mu.is_positive() and not force_lp:
+    if len(mu.atoms) == 1 and mu.is_positive():
         atom = next(iter(mu.atoms))
         scale, dist = _apsp_with_slice(space, atom, alpha)
         # The diameter at (u, v) is (dist[v][u] + dist[u][v]) / (r D_uv)
@@ -305,22 +304,14 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
         return result
 
     lp, free = _ball_lp(space)
+    # The ball row of (u, v) is the objective f(u) - f(v), in pairs() order.
+    objectives = list(lp.rows)
     lp.add_constraint([-c for c in _measure_objective(mu, free)], alpha - 1)
-    idx = {p: i for i, p in enumerate(free)}
-    objectives = []
-    for u, v in space.pairs():
-        obj = [0] * len(free)
-        if u != space.base:
-            obj[idx[u]] += 1
-        if v != space.base:
-            obj[idx[v]] -= 1
-        objectives.append(obj)
     cache = {}
     for (u, v), res in zip(space.pairs(), solve_lps(lp, objectives)):
         if res.status != "optimal":
             raise SoundnessError(f"slice LP came back {res.status}")
-        cache[(u, v)] = (res.value / space.d(u, v),
-                         _point_to_function(space, free, res.point))
+        cache[(u, v)] = (res.value / space.d(u, v), res.point)
     best = None
     for i, u in enumerate(space.points):
         for v in space.points[i + 1:]:
@@ -329,8 +320,9 @@ def slice_diameter(mu: PairMeasure, alpha: Fraction,
                 best = (cand, u, v)
     assert best is not None
     diam, u, v = best
-    result = SliceDiameterResult(diam, (u, v), cache[(u, v)][1],
-                                 cache[(v, u)][1], "lp")
+    f, g = (_point_to_function(space, free, cache[pair][1])
+            for pair in ((u, v), (v, u)))
+    result = SliceDiameterResult(diam, (u, v), f, g, "lp")
     result.replay(mu, alpha)
     return result
 

@@ -188,17 +188,6 @@ def reflect(pair: Pair) -> Pair:
     return (y, x)
 
 
-def reflect_set(pairs: Iterable[Pair]) -> PairSet:
-    return tuple(reflect(p) for p in pairs)
-
-
-def project(pairs: Iterable[Pair]) -> set[str]:
-    out: set[str] = set()
-    for x, y in pairs:
-        out.add(x)
-        out.add(y)
-    return out
-
 
 def make_pair_set(space: FiniteMetricSpace, pairs: Iterable[Pair]) -> PairSet:
     """Validate endpoints and drop duplicates, keeping first-seen order."""

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from lipcert.functionals import PairMeasure
+from lipcert.functionals import PairMeasure, _ball_lp, _measure_objective
 from lipcert.lipschitz import LipschitzFunction, lip_norm
+from lipcert.lpcore import solve_lp
 from lipcert.metric import FiniteMetricSpace
 
 
@@ -61,6 +62,16 @@ def random_signed_measure(rng: random.Random, space, max_atoms=5):
     return PairMeasure(space, {
         p: Fraction(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(1, 4))
         for p in rng.sample(pool, k)})
+
+
+def lp_norm(mu: PairMeasure) -> Fraction:
+    """The dual norm of mu from the ball LP alone, solved by `lpcore`: the
+    reference for the routes that `dual_norm` and `is_optimal` pick."""
+    lp, free = _ball_lp(mu.space)
+    lp.set_objective(_measure_objective(mu, free))
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    return res.value
 
 
 def random_ball_function(rng: random.Random, space) -> LipschitzFunction:

@@ -26,7 +26,7 @@ from lipcert.monotone import (CmCertificate, CmViolation,
                               inf_extension, prune_to_cm, replay_witness)
 from lipcert.lpcore import LinearProgram, solve_lp
 
-from conftest import (random_ball_function, random_pairs,
+from conftest import (lp_norm, random_ball_function, random_pairs,
                       random_positive_measure, random_signed_measure,
                       random_space, star_optimal_measure)
 from lp_oracle import oracle_solve
@@ -167,10 +167,10 @@ def test_criterion_5_optimality_lp_equivalence(announce):
         space = random_space(rng, 8, integer_max=4)
         mu = random_positive_measure(rng, space, 5)
         verdict = is_optimal(mu)
-        lp = dual_norm(mu, force_lp=True)
-        assert verdict.optimal == (lp.norm == mu.total_variation())
+        norm = lp_norm(mu)
+        assert verdict.optimal == (norm == mu.total_variation())
         if not verdict.optimal:
-            assert verdict.gap == mu.total_variation() - lp.norm > 0
+            assert verdict.gap == mu.total_variation() - norm > 0
 
 
 def test_criterion_6_positivization(announce):

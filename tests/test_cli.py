@@ -476,6 +476,59 @@ def test_emit_proof_writes_derivation(files, capsys, tmp_path):
     assert "ld2p-certificate" in text and "<=" in text
 
 
+def test_emit_proof_to_an_unwritable_path_exits_1(files, capsys, tmp_path):
+    """The proof is written before the report, so a directory as its path
+    is an error line with nothing on stdout."""
+    code = main(["--format", "json", "--emit-proof", str(tmp_path),
+                 "check-cm", "--gamma", "1", "--pairs",
+                 files("p.json", DESCENT_PAIRS), files("m.json", LINE3_JSON)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_example52_rejects_a_non_integer_seed(capsys, monkeypatch):
+    monkeypatch.setenv("LIPFREE_SEED", "abc")
+    assert main(["example52", "--levels", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: LIPFREE_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("count", [-1, cli.MAX_RANDOM_MEASURES + 1])
+def test_example52_caps_the_random_measures(capsys, monkeypatch, count):
+    """The count is refused before any part of the command runs."""
+    def no_space(name):
+        raise AssertionError("example52 built its space")
+    monkeypatch.setattr(cli, "builtin_space", no_space)
+    assert main(["example52", "--levels", "1", "--random-measures",
+                 str(count)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --random-measures must lie in "
+                   f"0..{cli.MAX_RANDOM_MEASURES}, got {count}\n")
+
+
+def test_verify_names_the_verified_inputs_hash(files, capsys, tmp_path):
+    """The verify payload carries the verified report's matched inputs
+    hash (null for a bare payload), not its space; a verify report does
+    not verify."""
+    _, report = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs",
+                                  files("p.json", DESCENT_PAIRS),
+                                  files("m.json", LINE3_JSON)])
+    path = files("report.json", report)
+    code, verified = run_json(capsys, ["verify", path])
+    assert code == 0
+    assert verified["payload"] == {
+        "kind": "verify", "summary": verified["payload"]["summary"],
+        "report_inputs_sha256": report["inputs_sha256"]}
+    _, bare = run_json(capsys, ["verify", files("bare.json",
+                                                report["payload"])])
+    assert bare["payload"]["report_inputs_sha256"] is None
+    assert main(["verify", files("verified.json", verified)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_error_exit_code_on_bad_input(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", missing]) == 1

@@ -14,9 +14,9 @@ from lipcert.lpcore import solve_lp
 from lipcert.metric import FiniteMetricSpace, build_line
 from lipcert.monotone import check_gamma_cm, CmCertificate
 
-from conftest import (random_ball_function, random_positive_measure,
-                      random_signed_measure, random_space,
-                      star_optimal_measure)
+from conftest import (lp_norm, random_ball_function,
+                      random_positive_measure, random_signed_measure,
+                      random_space, star_optimal_measure)
 
 LINE3 = build_line(3)
 IDENT = LipschitzFunction(LINE3, {"0": 0, "1": 1, "2": 2})
@@ -115,9 +115,7 @@ def test_fast_path_agrees_with_lp(rng):
     for _ in range(15):
         space = random_space(rng, 5)
         mu = random_positive_measure(rng, space, 4)
-        fast = dual_norm(mu)
-        forced = dual_norm(mu, force_lp=True)
-        assert fast.norm == forced.norm
+        assert dual_norm(mu).norm == lp_norm(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +182,8 @@ def test_slice_fast_path_agrees_with_lp(rng):
         mu = PairMeasure(space, {pair: 1})
         alpha = rng.choice([Fraction(1, 4), HALF, Fraction(3, 2)])
         fast = slice_diameter(mu, alpha)
-        forced = slice_diameter(mu, alpha, force_lp=True)
-        assert fast.method == "shortest-path" and forced.method == "lp"
-        assert fast.diameter == forced.diameter
+        assert fast.method == "shortest-path"
+        assert fast.diameter == per_pair_slice_lp(mu, alpha)[0]
 
 
 def floyd_warshall_with_slice(space, atom, alpha):
@@ -257,6 +254,7 @@ def per_pair_slice_lp(mu, alpha):
                                    Fraction(3, 2), Fraction(2)])
 def test_slice_lp_route_matches_one_lp_per_pair(alpha):
     rng = random.Random(f"slice-lp-{alpha}")
+    lp_draws = 0
     for _ in range(6):
         space = random_space(rng, 6)
         while len(space) < 4:
@@ -266,11 +264,14 @@ def test_slice_lp_route_matches_one_lp_per_pair(alpha):
         if norm == 0:
             continue
         mu = nu.scaled(1 / norm)
-        got = slice_diameter(mu, alpha, force_lp=True)
+        got = slice_diameter(mu, alpha)
         diam, pair, f, g = per_pair_slice_lp(mu, alpha)
-        assert got.method == "lp"
-        assert (got.diameter, got.pair) == (diam, pair)
-        assert got.f.values == f.values and got.g.values == g.values
+        assert got.diameter == diam
+        if got.method == "lp":
+            lp_draws += 1
+            assert got.pair == pair
+            assert got.f.values == f.values and got.g.values == g.values
+    assert lp_draws > 0
 
 
 def test_measure_json_roundtrip():

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lipcert.errors import InvalidInput
 from lipcert.metric import (MAX_BUILTIN_POINTS, FiniteMetricSpace,
                             build_example52, build_line, builtin_space,
-                            make_pair_set, parse_rational,
-                            project, reflect, reflect_set, space_from_json,
-                            space_to_json, validate_metric)
+                            make_pair_set, parse_rational, reflect,
+                            space_from_json, space_to_json, validate_metric)
 
 LINE3 = build_line(3)
 
@@ -164,19 +163,6 @@ def test_example52_rejects_zero_levels():
 def test_reflect_examples():
     assert reflect(("x", "y")) == ("y", "x")
     assert reflect(reflect(("a", "b"))) == ("a", "b")
-    assert reflect_set(()) == ()
-
-
-def test_project_examples():
-    assert project([("a", "b")]) == {"a", "b"}
-    assert project([("a", "b"), ("b", "c")]) == {"a", "b", "c"}
-    assert project([]) == set()
-
-
-@given(st.lists(st.tuples(st.sampled_from("012"), st.sampled_from("012"))
-                .filter(lambda p: p[0] != p[1])))
-def test_project_invariant_under_reflection(pairs):
-    assert project(pairs) == project(reflect_set(pairs))
 
 
 def test_make_pair_set_dedupes_and_validates():
