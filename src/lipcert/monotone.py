@@ -24,6 +24,14 @@ where some beta_ii is not 0 (a nonzero diagonal) the pair graph itself
 is searched.  Certificates and violations are exactly the ones the
 complete pair graph gives.
 
+Bellman-Ford ends once a round repeats the previous one shifted by a
+constant: `pred` as it was and every `dist` entry lowered by one delta.
+A round compares only dist[j] + c with dist[i], so every later round
+would repeat it, and `pred`, which is all the cycle walk reads, is
+already the one that m rounds leave (Cherkassky and Goldberg,
+"Negative-cycle detection algorithms", Math. Programming 85, 1999).  On
+violated sets the pair-graph walk mostly ends after two rounds, not m.
+
 Each certificate kind has one replay, run by the builder and by `verify`
 alike: `CmCertificate.replay` and `CmViolation.replay` for the decision,
 `replay_witness` for a unit-ball function with slope >= gamma across
@@ -33,11 +41,11 @@ of a certificate, and `replay_witness` is its one gate.
 
 The kernels run on integers: with gamma = g / h and the space compiled to
 D = L * d, the weights W_ij = h * L * beta_ij are ints, and Bellman-Ford,
-certificate replay, the inf-extension and witness replay work on the
-scale h * L (or a multiple of it).  Certificates and witnesses hold the
-ints their builders computed, and each replay reads them as they are.
-`beta`, `cycle_sum` and `brute_force_cm_oracle` stay in `Fraction` as
-independent references.
+certificate replay, violation replay (`cycle_weight`), the inf-extension
+and witness replay work on the scale h * L (or a multiple of it).
+Certificates and witnesses hold the ints their builders computed, and
+each replay reads them as they are.  `beta`, `cycle_sum` and
+`brute_force_cm_oracle` stay in `Fraction` as independent references.
 """
 from __future__ import annotations
 
@@ -162,15 +170,41 @@ class CmViolation:
     deficit: Fraction
 
     def replay(self, space: FiniteMetricSpace) -> None:
+        """Sum W along the cycle and compare it with deficit * h * L by
+        cross-multiplying."""
+        total = cycle_weight(space, self.pairs, self.cycle, self.gamma)
         if len(set(self.cycle)) != len(self.cycle) or not self.cycle:
             raise SoundnessError("cycle is empty or not simple")
-        total = cycle_sum(space, self.pairs, self.cycle, self.gamma)
-        if total != self.deficit or total >= 0:
-            raise SoundnessError(
-                f"cycle beta-sum {total} does not certify a violation")
+        hl = self.gamma.denominator * space.scale
+        d = self.deficit
+        if total >= 0 or total * d.denominator != d.numerator * hl:
+            raise SoundnessError(f"cycle beta-sum {Fraction(total, hl)} "
+                                 "does not certify a violation")
 
 
 CmResult = Union[CmCertificate, CmViolation]
+
+
+def cycle_weight(space: FiniteMetricSpace, pairs: PairSet,
+                 cycle: Sequence[int], gamma: Fraction) -> int:
+    """The sum of W_ij = h * L * beta_ij along `cycle` (gamma = g / h), on
+    the compiled distances: `cycle_sum` times h * L, in ints.
+
+    Every entry must be an int (not a bool) in 0..len(pairs) - 1; anything
+    else, a negative index included, is `SoundnessError`."""
+    m = len(pairs)
+    for i in cycle:
+        if type(i) is not int or not 0 <= i < m:
+            raise SoundnessError(
+                f"cycle entry {i!r}: pair index out of range 0..{m - 1}")
+    g, h = gamma.numerator, gamma.denominator
+    D = space.int_dist
+    ends = [(space.index(pairs[i][0]), space.index(pairs[i][1]))
+            for i in cycle]
+    total = 0
+    for (x, y), (_, yj) in zip(ends, ends[1:] + ends[:1]):
+        total += min(h * D[x][yj] - g * D[x][y], h * D[y][yj])
+    return total
 
 
 def cycle_sum(space: FiniteMetricSpace, pairs: PairSet,
@@ -205,13 +239,23 @@ def _bellman_ford(cols: list[list[int]], stop_at_cycle: bool
     edge j -> i.  Returns (dist, None) once a round changes nothing, else
     (None, cycle): the predecessor cycle after len(cols) rounds, or None
     when `stop_at_cycle` ends the loop at the first round whose
-    predecessor graph closes a cycle (always a negative one)."""
+    predecessor graph closes a cycle (always a negative one).
+
+    The loop also ends once a round leaves `pred` as it was and lowers
+    every `dist` entry by one constant.  That is exact: a round compares
+    only dist[j] + c with dist[i], so on dist + delta it makes the same
+    relaxations and sets the same `pred`, `changed` and `bad`.  Every
+    later round would repeat it, so `pred` and `bad` are those that
+    len(cols) rounds leave, and the predecessor walk, which reads nothing
+    else, returns the same cycle (Cherkassky and Goldberg, "Negative-cycle
+    detection algorithms", Math. Programming 85, 1999)."""
     n = len(cols)
     # Virtual source with zero-weight edges to every node: dist starts at 0.
     dist = [0] * n
     pred: list[Optional[int]] = [None] * n
     bad = None
     for _ in range(n):
+        last_dist, last_pred = dist[:], pred[:]
         changed = False
         for j, col in enumerate(cols):
             dj = dist[j]
@@ -224,6 +268,9 @@ def _bellman_ford(cols: list[list[int]], stop_at_cycle: bool
         if not changed:
             return dist, None
         if stop_at_cycle and _has_cycle(pred):
+            break
+        if pred == last_pred and len(
+                {a - b for a, b in zip(dist, last_dist)}) == 1:
             break
     if stop_at_cycle:
         return None, None
@@ -258,9 +305,13 @@ def check_gamma_cm(space: FiniteMetricSpace, pairs: PairSet,
 
     When all landing points differ (k = m), or some W_ii is not 0, the
     pair graph itself is searched.  When k < m and the quotient's
-    predecessor graph closes a cycle, the m-round pair-graph walk runs to
-    return the same negative pair cycle as the complete pair graph.
-    Either result is replayed before it is returned.
+    predecessor graph closes a cycle, the pair-graph walk runs to return
+    the same negative pair cycle as the complete pair graph.  That walk
+    ends at the first round that leaves the predecessors as they were and
+    lowers every distance by one constant; every later round up to m
+    would repeat it, so the predecessor cycle is the one m rounds leave
+    (see `_bellman_ford`).  Either result is replayed before it is
+    returned.
     """
     gamma = check_gamma(gamma)
     pairs = make_pair_set(space, pairs)

@@ -39,7 +39,7 @@ from .metric import (FiniteMetricSpace, Pair, PairSet, ValidationReport,
                      parse_rational, rational_str, space_from_json,
                      space_to_json, validate_metric)
 from .monotone import (CmCertificate, CmResult, CmViolation, check_gamma,
-                       cycle_sum, replay_prune, replay_witness)
+                       cycle_weight, replay_prune, replay_witness)
 
 
 def frac(x) -> str:
@@ -363,7 +363,7 @@ def _ld2p_from_json(space: FiniteMetricSpace, body: dict) -> Ld2pCertificate:
 def _replay_cm(space: FiniteMetricSpace, body: dict) -> str:
     """Replay a cm-certificate or cm-violation body on `space`."""
     pairs = pairs_from_json(space, body["pairs"])
-    gamma = parse_rational(body["gamma"])
+    gamma = check_gamma(parse_rational(body["gamma"]))
     if body["kind"] == "cm-certificate":
         cert = CmCertificate(pairs, gamma, tuple(
             parse_rational(a) for a in body["potentials"]))
@@ -488,10 +488,11 @@ def verify_payload(report: dict) -> str:
     carries none of them, so it claims no envelope.
 
     Raises `InvalidInput` in two ways.  If a replayed inequality fails
-    (the replays raise `SoundnessError`) or the envelope differs, the
-    message starts with "report rejected:".  A malformed payload gets
-    no prefix: a missing field, a field of the wrong type, an index out
-    of range, or a rational field that does not parse.
+    (the replays raise `SoundnessError`), a logged cycle names an entry
+    that is not a pair index, or the envelope differs, the message starts
+    with "report rejected:".  A malformed payload gets no prefix: a
+    missing field, a field of the wrong type, an index out of range, a
+    rational field that does not parse, or a kind with no replay.
     """
     payload = report.get("payload", report)
     if not isinstance(payload, dict):
@@ -512,123 +513,149 @@ def verify_payload(report: dict) -> str:
                            f"{exc}") from None
 
 
+def _replay_validation(space: FiniteMetricSpace, payload: dict) -> str:
+    report = validate_metric(space)
+    _ok(report.ok == payload["ok"], "validation verdict changed on replay")
+    return f"validation verdict replayed: ok={report.ok}"
+
+
+def _replay_cm_witness(space: FiniteMetricSpace, payload: dict) -> str:
+    replay_witness(pairs_from_json(space, payload["pairs"]),
+                   parse_rational(payload["gamma"]),
+                   function_from_json(space, payload["function"]))
+    return "witness function replayed"
+
+
+def _replay_dual_norm(space: FiniteMetricSpace, payload: dict) -> str:
+    result = DualNormResult(
+        parse_rational(payload["norm"]),
+        function_from_json(space, payload["maximizer"]), payload["method"])
+    result.replay(measure_from_json(space, payload["measure"]))
+    return f"norm attainment replayed at {result.norm}"
+
+
+def _replay_optimality(space: FiniteMetricSpace, payload: dict) -> str:
+    mu = measure_from_json(space, payload["measure"])
+    _ok(mu.is_positive(), "optimality needs a positive measure")
+    support = payload["support_certificate" if payload["optimal"]
+                      else "support_violation"]
+    want = "cm-certificate" if payload["optimal"] else "cm-violation"
+    _ok(support["kind"] == want
+        and support["space"] == payload["space"]
+        and parse_rational(support["gamma"]) == 1
+        and set(pairs_from_json(space, support["pairs"]))
+        == set(mu.support()),
+        f"the {want} is not the 1-CM verdict on the support "
+        "of the measure")
+    return _replay_cm(space, support)
+
+
+def _replay_positivize(space: FiniteMetricSpace, payload: dict) -> str:
+    nu = measure_from_json(space, payload["input"])
+    mu = measure_from_json(space, payload["output"])
+    again = positivize(nu)
+    _ok(mu.atoms == again.atoms, "output differs from the construction")
+    _ok(mu.is_positive(), "output is not positive")
+    _ok(mu.total_variation() == nu.total_variation(),
+        "total variation not preserved")
+    return "positivization replayed"
+
+
+def _replay_slice(space: FiniteMetricSpace, payload: dict) -> str:
+    alpha = _check_alpha(parse_rational(payload["alpha"]))
+    result = SliceDiameterResult(
+        parse_rational(payload["supremal_diameter"]),
+        _pair_from_json(space, payload["pair"]),
+        function_from_json(space, payload["f"]),
+        function_from_json(space, payload["g"]), payload["method"])
+    result.replay(measure_from_json(space, payload["measure"]), alpha)
+    return f"slice diameter lower bound {result.diameter} replayed"
+
+
+def _replay_two_lip_ltp(space: FiniteMetricSpace, payload: dict) -> str:
+    """A found pair replays its two-sided witness.  An absent verdict
+    needs a failure row for every candidate pair in order, each with a
+    cycle of negative weight (`cycle_weight`) in the augmented set."""
+    pairs = pairs_from_json(space, payload["pairs"])
+    gamma = check_gamma(1 - parse_rational(payload["eps"]))
+    if not payload["found"]:
+        failures = payload["failures"]
+        candidates = [_pair_from_json(space, entry["candidate"])
+                      for entry in failures]
+        _ok(candidates == list(space.pairs()),
+            "failure rows do not cover every candidate pair in order")
+        for (u, v), entry in zip(candidates, failures):
+            side = entry["side"]
+            _ok(side in ("forward", "backward"), f"unknown side {side!r}")
+            added = (u, v) if side == "forward" else (v, u)
+            aug = make_pair_set(space, pairs + (added,))
+            _ok(cycle_weight(space, aug, entry["cycle"], gamma) < 0,
+                "logged cycle is not negative")
+        return f"{len(failures)} failure rows replayed"
+    u, v = _pair_from_json(space, payload["pair"])
+    replay_two_sided(pairs, gamma, u, v,
+                     function_from_json(space, payload["f"]),
+                     function_from_json(space, payload["g"]))
+    return "two-sided witness replayed"
+
+
+def _replay_ld2p(space: FiniteMetricSpace, payload: dict) -> str:
+    cert = _ld2p_from_json(space, payload)
+    cert.replay(measure_from_json(space, payload["measure"]))
+    return f"LD2P certificate replayed at gamma {cert.gamma}"
+
+
+def _replay_sd2p(space: FiniteMetricSpace, payload: dict) -> str:
+    measures = [measure_from_json(space, m) for m in payload["measures"]]
+    parts = payload["parts"]
+    for mu, part in zip(measures, parts):
+        _ok(part["space"] == payload["space"] and mu.atoms
+            == measure_from_json(space, part["measure"]).atoms,
+            "a part does not certify the measure at its index")
+    # The replay also checks that there is one part per measure.
+    Sd2pCertificate(tuple(_ld2p_from_json(space, part) for part in parts),
+                    payload["u"], payload["v"]).replay(measures)
+    return f"SD2P certificate replayed over {len(measures)} functionals"
+
+
+def _replay_prune(space: FiniteMetricSpace, payload: dict) -> str:
+    pairs = pairs_from_json(space, payload["pairs"])
+    kept = pairs_from_json(space, payload["kept"])
+    mu = measure_from_json(space, payload["measure"])
+    gamma = check_gamma(parse_rational(payload["gamma"]))
+    n = payload["bound"]
+    if type(n) is not int:
+        raise InvalidInput(f"the bound must be an integer, got {n!r}")
+    replay_prune(space, pairs, mu, gamma, n, kept)
+    return f"pruned set replayed, kept {len(kept)} of {len(pairs)} pairs"
+
+
+# Payload kind -> its replay, called with the payload's space.
+REPLAYS = {
+    "validation": _replay_validation,
+    "cm-certificate": _replay_cm,
+    "cm-violation": _replay_cm,
+    "cm-witness": _replay_cm_witness,
+    "dual-norm": _replay_dual_norm,
+    "optimality": _replay_optimality,
+    "positivize": _replay_positivize,
+    "slice-diameter": _replay_slice,
+    "lip-ltp": _replay_lip_ltp,
+    "example52": _replay_example52,
+    "two-lip-ltp": _replay_two_lip_ltp,
+    "ld2p-certificate": _replay_ld2p,
+    "sd2p-certificate": _replay_sd2p,
+    "prune": _replay_prune,
+}
+
+
 def _replay_payload(payload: dict) -> str:
+    """Look the kind up before reading any other field, so that a kind
+    with no replay is named as such; then load the space and replay."""
     kind = payload["kind"]
+    if not isinstance(kind, str) or kind not in REPLAYS:
+        raise InvalidInput(f"unknown payload kind {kind!r}")
     space = space_from_json(payload["space"])
     if kind != "validation":
         space.require_positive()
-
-    if kind == "validation":
-        report = validate_metric(space)
-        _ok(report.ok == payload["ok"], "validation verdict changed on replay")
-        return f"validation verdict replayed: ok={report.ok}"
-
-    if kind in ("cm-certificate", "cm-violation"):
-        return _replay_cm(space, payload)
-
-    if kind == "cm-witness":
-        replay_witness(pairs_from_json(space, payload["pairs"]),
-                       parse_rational(payload["gamma"]),
-                       function_from_json(space, payload["function"]))
-        return "witness function replayed"
-
-    if kind == "dual-norm":
-        result = DualNormResult(
-            parse_rational(payload["norm"]),
-            function_from_json(space, payload["maximizer"]), payload["method"])
-        result.replay(measure_from_json(space, payload["measure"]))
-        return f"norm attainment replayed at {result.norm}"
-
-    if kind == "optimality":
-        mu = measure_from_json(space, payload["measure"])
-        _ok(mu.is_positive(), "optimality needs a positive measure")
-        support = payload["support_certificate" if payload["optimal"]
-                          else "support_violation"]
-        want = "cm-certificate" if payload["optimal"] else "cm-violation"
-        _ok(support["kind"] == want
-            and support["space"] == payload["space"]
-            and parse_rational(support["gamma"]) == 1
-            and set(pairs_from_json(space, support["pairs"]))
-            == set(mu.support()),
-            f"the {want} is not the 1-CM verdict on the support "
-            "of the measure")
-        return _replay_cm(space, support)
-
-    if kind == "positivize":
-        nu = measure_from_json(space, payload["input"])
-        mu = measure_from_json(space, payload["output"])
-        again = positivize(nu)
-        _ok(mu.atoms == again.atoms, "output differs from the construction")
-        _ok(mu.is_positive(), "output is not positive")
-        _ok(mu.total_variation() == nu.total_variation(),
-            "total variation not preserved")
-        return "positivization replayed"
-
-    if kind == "slice-diameter":
-        alpha = _check_alpha(parse_rational(payload["alpha"]))
-        result = SliceDiameterResult(
-            parse_rational(payload["supremal_diameter"]),
-            _pair_from_json(space, payload["pair"]),
-            function_from_json(space, payload["f"]),
-            function_from_json(space, payload["g"]), payload["method"])
-        result.replay(measure_from_json(space, payload["measure"]), alpha)
-        return f"slice diameter lower bound {result.diameter} replayed"
-
-    if kind == "lip-ltp":
-        return _replay_lip_ltp(space, payload)
-
-    if kind == "example52":
-        return _replay_example52(space, payload)
-
-    if kind == "two-lip-ltp":
-        pairs = pairs_from_json(space, payload["pairs"])
-        gamma = 1 - parse_rational(payload["eps"])
-        if not payload["found"]:
-            failures = payload["failures"]
-            candidates = [_pair_from_json(space, entry["candidate"])
-                          for entry in failures]
-            _ok(candidates == list(space.pairs()),
-                "failure rows do not cover every candidate pair in order")
-            for (u, v), entry in zip(candidates, failures):
-                side = entry["side"]
-                _ok(side in ("forward", "backward"), f"unknown side {side!r}")
-                added = (u, v) if side == "forward" else (v, u)
-                aug = make_pair_set(space, pairs + (added,))
-                total = cycle_sum(space, aug, tuple(entry["cycle"]), gamma)
-                _ok(total < 0, "logged cycle is not negative")
-            return f"{len(failures)} failure rows replayed"
-        u, v = _pair_from_json(space, payload["pair"])
-        replay_two_sided(pairs, gamma, u, v,
-                         function_from_json(space, payload["f"]),
-                         function_from_json(space, payload["g"]))
-        return "two-sided witness replayed"
-
-    if kind == "ld2p-certificate":
-        cert = _ld2p_from_json(space, payload)
-        cert.replay(measure_from_json(space, payload["measure"]))
-        return f"LD2P certificate replayed at gamma {cert.gamma}"
-
-    if kind == "sd2p-certificate":
-        measures = [measure_from_json(space, m) for m in payload["measures"]]
-        parts = payload["parts"]
-        for mu, part in zip(measures, parts):
-            _ok(part["space"] == payload["space"] and mu.atoms
-                == measure_from_json(space, part["measure"]).atoms,
-                "a part does not certify the measure at its index")
-        # The replay also checks that there is one part per measure.
-        Sd2pCertificate(tuple(_ld2p_from_json(space, part) for part in parts),
-                        payload["u"], payload["v"]).replay(measures)
-        return f"SD2P certificate replayed over {len(measures)} functionals"
-
-    if kind == "prune":
-        pairs = pairs_from_json(space, payload["pairs"])
-        kept = pairs_from_json(space, payload["kept"])
-        mu = measure_from_json(space, payload["measure"])
-        gamma = check_gamma(parse_rational(payload["gamma"]))
-        n = payload["bound"]
-        if type(n) is not int:
-            raise InvalidInput(f"the bound must be an integer, got {n!r}")
-        replay_prune(space, pairs, mu, gamma, n, kept)
-        return f"pruned set replayed, kept {len(kept)} of {len(pairs)} pairs"
-
-    raise InvalidInput(f"unknown payload kind {kind!r}")
+    return REPLAYS[kind](space, payload)

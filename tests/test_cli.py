@@ -13,6 +13,7 @@ from lipcert.lipschitz import function_to_json, slope
 from lipcert.metric import (MAX_BUILTIN_POINTS, build_example52, build_line,
                             space_to_json)
 from lipcert.monotone import brute_force_cm_oracle
+from lipcert.reports import envelope
 
 LINE3_JSON = space_to_json(build_line(3))
 DESCENT_PAIRS = {"pairs": [["2", "1"], ["1", "0"]]}
@@ -558,6 +559,90 @@ def test_verify_malformed_payload_fields_exit_1(files, capsys, tmp_path):
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
+
+
+def _verify_exits_1(capsys, files, report, needle):
+    assert main(["verify", files("tampered.json", report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(needle), err
+
+
+def test_verify_refuses_a_cm_cycle_entry_that_is_not_a_pair_index(files,
+                                                                  capsys):
+    """Python would read -12 as pair 120 and True as pair 1; the replay
+    refuses both, so the rewritten cycles do not verify."""
+    space = build_example52(1)
+    every = files("all.json", {"pairs": [list(p) for p in space.pairs()]})
+    code, report = run_json(capsys, ["check-cm", "--gamma", "1/2", "--pairs",
+                                     every, "--builtin", "example52:1"])
+    assert code == 2 and report["payload"]["cycle"] == [120, 131]
+    report["payload"]["cycle"] = [-12, -1]
+    _verify_exits_1(capsys, files, report,
+                    "error: report rejected: cycle entry -12")
+    opposite = files("opp.json", {"pairs": [["0", "2"], ["2", "0"]]})
+    code, report = run_json(capsys, ["check-cm", "--gamma", "1/2", "--pairs",
+                                     opposite, files("m.json", LINE3_JSON)])
+    assert code == 2 and sorted(report["payload"]["cycle"]) == [0, 1]
+    report["payload"]["cycle"] = [bool(i) for i in report["payload"]["cycle"]]
+    _verify_exits_1(capsys, files, report,
+                    "error: report rejected: cycle entry False")
+
+
+def test_verify_refuses_a_two_lip_ltp_cycle_entry_that_is_not_a_pair_index(
+        files, capsys):
+    """The absent rows index the augmented set, m + 1 pairs here."""
+    pairs = [["y1", "x1"], ["u3_1", "x1"], ["y1", "x2"], ["v1_1", "v2_1"]]
+    code, report = run_json(capsys, ["two-lip-ltp", "--eps", "1/10",
+                                     "--pairs", files("p.json",
+                                                      {"pairs": pairs}),
+                                     "--builtin", "example52:1"])
+    assert code == 2
+    row = next(row for row in report["payload"]["failures"]
+               if 0 in row["cycle"])
+    cycle = row["cycle"]
+    row["cycle"] = [i - len(pairs) - 1 for i in cycle]
+    _verify_exits_1(capsys, files, report, "error: report rejected: cycle "
+                    f"entry {cycle[0] - len(pairs) - 1}")
+    row["cycle"] = [False if i == 0 else i for i in cycle]
+    _verify_exits_1(capsys, files, report, "error: report rejected:")
+    row["cycle"] = cycle
+    assert main(["verify", files("intact.json", report)]) == 0
+
+
+def test_verify_refuses_a_cycle_at_a_gamma_outside_the_unit_interval(
+        files, capsys):
+    """A cycle that is negative at gamma = 2 proves nothing about gamma-CM:
+    a violation at gamma 2, or an absent 2-Lip-LTP at eps = -1, is refused
+    even with its deficit and envelope recomputed."""
+    opposite = files("opp.json", {"pairs": [["0", "2"], ["2", "0"]]})
+    _, report = run_json(capsys, ["check-cm", "--gamma", "1/2", "--pairs",
+                                  opposite, files("m.json", LINE3_JSON)])
+    payload = dict(report["payload"], gamma="2", deficit="-8")
+    _verify_exits_1(capsys, files, dict(envelope(payload), payload=payload),
+                    "error: gamma must lie in (0, 1], got 2")
+    pairs = {"pairs": [["y1", "x1"], ["u3_1", "x1"], ["y1", "x2"],
+                       ["v1_1", "v2_1"]]}
+    _, report = run_json(capsys, ["two-lip-ltp", "--eps", "1/10", "--pairs",
+                                  files("p.json", pairs),
+                                  "--builtin", "example52:1"])
+    payload = dict(report["payload"], eps="-1")
+    _verify_exits_1(capsys, files, dict(envelope(payload), payload=payload),
+                    "error: gamma must lie in (0, 1], got 2")
+
+
+def test_verify_of_a_verify_report_names_its_kind(files, capsys):
+    """The kind is looked up before any other field: a verify report has
+    no replay, and no space either."""
+    _, report = run_json(capsys, ["check-cm", "--gamma", "1", "--pairs",
+                                  files("p.json", DESCENT_PAIRS),
+                                  files("m.json", LINE3_JSON)])
+    _, verified = run_json(capsys, ["verify", files("report.json", report)])
+    assert "space" not in verified["payload"]
+    _verify_exits_1(capsys, files, verified,
+                    "error: unknown payload kind 'verify'")
+    for kind in ("ld2p-absent", ["cm-violation"]):
+        _verify_exits_1(capsys, files, {"kind": kind},
+                        f"error: unknown payload kind {kind!r}")
 
 
 def _fresh_process(argv):

@@ -12,13 +12,14 @@ from lipcert.errors import InvalidInput, SoundnessError
 from lipcert.functionals import PairMeasure
 from lipcert.lipschitz import LipschitzFunction, lip_norm, slope
 from lipcert.metric import FiniteMetricSpace, build_example52, build_line
-from lipcert.monotone import (CmCertificate, CmViolation, beta,
-                              brute_force_cm_oracle, check_augmented,
-                              check_gamma, check_gamma_cm, cycle_sum,
-                              inf_extension, prune_to_cm, replay_witness)
+from lipcert.monotone import (CmCertificate, CmViolation, _bellman_ford,
+                              _has_cycle, beta, brute_force_cm_oracle,
+                              check_augmented, check_gamma, check_gamma_cm,
+                              cycle_sum, inf_extension, prune_to_cm,
+                              replay_witness)
 from lipcert.reports import cm_result_payload, verify_payload
 
-from conftest import (random_ball_function, random_pairs,
+from conftest import (closure, random_ball_function, random_pairs,
                       random_positive_measure, random_space)
 
 LINE3 = build_line(3)
@@ -207,6 +208,110 @@ def test_quotient_kernel_matches_the_pair_graph(case):
     space, pairs, gamma = case
     assert check_gamma_cm(space, pairs, gamma) == \
         reference_check_gamma_cm(space, pairs, gamma)
+
+
+def reference_bellman_ford(cols, stop_at_cycle):
+    """`_bellman_ford` as it ran before the shift rule: every round up to
+    len(cols), then the predecessor walk."""
+    n = len(cols)
+    # Virtual source with zero-weight edges to every node: dist starts at 0.
+    dist = [0] * n
+    pred: list[Optional[int]] = [None] * n
+    bad = None
+    for _ in range(n):
+        changed = False
+        for j, col in enumerate(cols):
+            dj = dist[j]
+            for i, c in enumerate(col):
+                if dj + c < dist[i]:
+                    dist[i] = dj + c
+                    pred[i] = j
+                    changed = True
+                    bad = i
+        if not changed:
+            return dist, None
+        if stop_at_cycle and _has_cycle(pred):
+            break
+    if stop_at_cycle:
+        return None, None
+    # A relaxation survived n rounds: walk predecessors into the cycle.
+    assert bad is not None
+    node = bad
+    for _ in range(n):
+        node = pred[node]  # type: ignore[assignment]
+    cycle = [node]
+    cur = pred[node]
+    while cur != node:
+        cycle.append(cur)  # type: ignore[arg-type]
+        cur = pred[cur]    # type: ignore[index]
+    return None, cycle
+
+
+class CountedCols(list):
+    """A weight matrix that counts the rounds run over it: each round
+    iterates over the columns once."""
+    rounds = 0
+
+    def __iter__(self):
+        self.rounds += 1
+        return super().__iter__()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+       st.sampled_from([-1, -3, -10, -30]), st.booleans(), st.booleans())
+def test_shift_rule_keeps_the_distances_and_the_cycle(seed, n, low, zero_diag,
+                                                      stop_at_cycle):
+    rng = random.Random(seed)
+    cols = [[rng.randint(low, 20) for _ in range(n)] for _ in range(n)]
+    if zero_diag:
+        for j in range(n):
+            cols[j][j] = 0
+    assert _bellman_ford([col[:] for col in cols], stop_at_cycle) == \
+        reference_bellman_ford([col[:] for col in cols], stop_at_cycle)
+
+
+def _violated_set(rng, n, m):
+    """A cm-decide-shaped violated set: m - 2 random pairs of a random
+    n-point metric and one opposite pair, shuffled."""
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+    space = FiniteMetricSpace([f"p{i}" for i in range(n)], "p0", closure(w))
+    a, b = rng.sample(space.points, 2)
+    rest = [p for p in space.pairs() if p not in ((a, b), (b, a))]
+    pairs = rng.sample(rest, m - 2) + [(a, b), (b, a)]
+    rng.shuffle(pairs)
+    return space, tuple(pairs)
+
+
+@pytest.mark.parametrize("seed, n, m", [(1, 22, 45), (2, 22, 45), (3, 24, 120)])
+def test_violated_benchmark_sets_match_the_pair_graph(seed, n, m):
+    space, pairs = _violated_set(random.Random(seed), n, m)
+    result = check_gamma_cm(space, pairs, HALF)
+    assert isinstance(result, CmViolation)
+    assert result == reference_check_gamma_cm(space, pairs, HALF)
+
+
+def test_a_walk_that_never_shifts_runs_every_round():
+    """Two disjoint negative 2-cycles lower their nodes by different
+    amounts each round, so no round repeats the last one shifted.  One
+    negative 2-cycle that leads to every node settles into a shift after
+    two rounds."""
+    big = 50
+    cols = [[0, -1, big, big], [-1, 0, big, big],
+            [big, big, 0, -2], [big, big, -3, 0]]
+    counted = CountedCols(col[:] for col in cols)
+    assert _bellman_ford(counted, stop_at_cycle=False) == \
+        reference_bellman_ford(cols, stop_at_cycle=False)
+    assert counted.rounds == len(cols)
+    cols = [[0, -1, big, big], [-1, 0, 0, 0],
+            [big, big, 0, big], [big, big, big, 0]]
+    counted = CountedCols(col[:] for col in cols)
+    assert _bellman_ford(counted, stop_at_cycle=False) == \
+        reference_bellman_ford(cols, stop_at_cycle=False)
+    assert counted.rounds == 2
 
 
 def all_pairs_replay_accepts(space, pairs, gamma, potentials):
